@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 
 from . import generator, interpreter, oracle, slicer
 from .cdg import Cdg, build_cdg, export_dot, export_json
-from .events import ExecEvent, parse_trace, serialize_trace
+from .events import ExecEvent, parse_trace, to_line
 from .frontend import SourceError, load
-from .interpreter import RunResult
 from .slicer import CriterionError
 from .syntax import Program, pretty
 
@@ -89,13 +88,6 @@ def _config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _pipeline(cfg: RunConfig) -> tuple[Program, Cdg, RunResult]:
-    program = load(cfg.program_text)
-    graph = build_cdg(program)
-    result = interpreter.run(program, cfg.inputs, cfg.budget)
-    return program, graph, result
-
-
 def _listing(program: Program, slice_ids: frozenset[int]) -> str:
     """Source listing with in-slice statements marked by a leading '>'."""
     lines = []
@@ -116,18 +108,21 @@ def _report(cfg: RunConfig, state: slicer.SliceState,
         "criterion": criterion,
         "slice": sorted(slice_ids),
         "executed": executed,
-        "stats": {"events": state.events, "updates": state.updates},
+        "stats": {"events": state.events, "updates": state.updates,
+                  "peak_cardinality": state.peak_cardinality,
+                  "dyn_entries": len(state.dyn_table)},
     }
 
 
 # -- commands -----------------------------------------------------------------
 
 def cmd_slice(cfg: RunConfig) -> int:
-    program, graph, result = _pipeline(cfg)
+    program = load(cfg.program_text)
+    state = slicer.init(build_cdg(program))
+    result = interpreter.run(program, cfg.inputs, cfg.budget, sink=state.feed)
     if not result.ok:
         print(f"error: {result.message}", file=sys.stderr)
         return 3
-    state = slicer.slice_events(graph, result.events)
     try:
         if cfg.criterion is not None:
             ids = state.slice_of(*cfg.criterion)
@@ -165,8 +160,12 @@ def cmd_cdg(cfg: RunConfig) -> int:
 
 
 def cmd_trace(cfg: RunConfig) -> int:
-    _, _, result = _pipeline(cfg)
-    sys.stdout.write(serialize_trace(result.events))
+    # lines are written only once the whole run serialized, so an event that
+    # cannot be serialized leaves stdout empty rather than truncated
+    lines: list[str] = []
+    result = interpreter.run(load(cfg.program_text), cfg.inputs, cfg.budget,
+                             sink=lambda ev: lines.append(to_line(ev)))
+    sys.stdout.writelines(lines)
     if not result.ok:
         print(f"error: {result.message}", file=sys.stderr)
         return 3
@@ -185,10 +184,11 @@ def cmd_check(cfg: RunConfig) -> int:
             print(f"error: {result.message}", file=sys.stderr)
             return 3
         events = result.events
-    verdict = run_check(graph, events)
+    state = slicer.slice_events(graph, events)
+    ddg = oracle.build_ddg(events, graph)
+    verdict = _first_mismatch(state, ddg)
     if verdict is None:
-        n = len(oracle.build_ddg(events, graph).criteria)
-        print(f"OK: {n} criteria agree")
+        print(f"OK: {len(ddg.criteria)} criteria agree")
         return 0
     (node, var), streaming, reference = verdict
     fmt = lambda s: "absent" if s is None else str(sorted(s))
@@ -200,8 +200,11 @@ def cmd_check(cfg: RunConfig) -> int:
 
 def run_check(graph: Cdg, events: list[ExecEvent]):
     """First differing criterion between the two engines, or None if all agree."""
-    state = slicer.slice_events(graph, events)
-    ddg = oracle.build_ddg(events, graph)
+    return _first_mismatch(slicer.slice_events(graph, events),
+                           oracle.build_ddg(events, graph))
+
+
+def _first_mismatch(state: slicer.SliceState, ddg: oracle.Ddg):
     mine = set(state.criteria())
     theirs = set(ddg.executed_criteria())
     for key in sorted(mine - theirs):

@@ -201,8 +201,13 @@ def from_json(d: dict) -> ExecEvent:
     raise ValueError(f"malformed trace record: {d!r}")
 
 
+def to_line(ev: ExecEvent) -> str:
+    """One event as its NDJSON trace line, newline included."""
+    return json.dumps(to_json(ev), sort_keys=True) + "\n"
+
+
 def serialize_trace(events) -> str:
-    return "".join(json.dumps(to_json(ev), sort_keys=True) + "\n" for ev in events)
+    return "".join(map(to_line, events))
 
 
 def parse_trace(text: str) -> list[ExecEvent]:

@@ -90,6 +90,34 @@ void main() {
 }
 """
 
+# Method call in a loop: every iteration opens a frame with fresh locals and a
+# parameter transfer. Slicer state stays flat only if nothing is kept per
+# activation; with input n the outputs are n(n+1)/2 and n.
+CALLS_SOURCE = """\
+class acc {
+    int s;
+public:
+    void f(int x) {
+        int t;
+        #8: t = x + 1;
+        #9: s = s + t;
+    }
+};
+
+void main() {
+    acc o;
+    int n, i;
+    #1: cin >> n;
+    #2: i = 0;
+    #3: while (i < n) {
+        #4: o.f(i);
+        #5: i = i + 1;
+    }
+    #6: cout << o.s;
+    #7: cout << i;
+}
+"""
+
 # Constant assignment under a loop test: node 3's slice comes entirely from
 # control flow, so reordering its trace record past the loop exit makes the
 # two engines disagree (the corrupted-trace control in the tests).

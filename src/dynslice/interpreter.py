@@ -17,10 +17,16 @@ Event order around a call: CallEntered, the callee's events, AboutToReturn
 just before an executed return node, Returned (copy-backs, resets), and only
 then the call site's own StmtExecuted. Loop tests emit StmtExecuted per
 evaluation and LoopExited after the false one.
+
+`run` hands every event to one callable, `sink`, the moment it is emitted.
+The default sink appends to `RunResult.events`; any other sink (a slicer's
+`feed`, a trace writer) receives the stream instead, and `RunResult.events`
+is then an empty list, so no trace-sized structure is kept.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .events import (
@@ -110,36 +116,42 @@ class RunResult:
 
 
 def run(program: Program, inputs: list[int] | tuple[int, ...] = (),
-        budget: int = DEFAULT_BUDGET) -> RunResult:
-    """Execute a checked program on the given input sequence."""
+        budget: int = DEFAULT_BUDGET,
+        sink: Callable[[ExecEvent], object] | None = None) -> RunResult:
+    """Execute a checked program on the given input sequence.
+
+    Events go to `sink` in execution order; without one they are collected
+    in the result's `events`. An exception raised by the sink ends the run
+    and propagates to the caller.
+    """
     if not program.checked:
         raise ValueError("run requires a checked Program")
-    interp = _Interp(program, list(inputs), budget)
+    events: list[ExecEvent] = []
+    interp = _Interp(program, list(inputs), budget,
+                     events.append if sink is None else sink)
     try:
         frame = interp.new_frame("main", None, None, program.main)
         try:
             interp.exec_block(program.main, frame)
         except _ReturnSignal:
             pass
-        return RunResult(interp.events, interp.outputs, "ok")
+        return RunResult(events, interp.outputs, "ok")
     except RunInterrupt as stop:
-        return RunResult(interp.events, interp.outputs, stop.status, stop.message)
+        return RunResult(events, interp.outputs, stop.status, stop.message)
 
 
 class _Interp:
-    def __init__(self, program: Program, inputs: list[int], budget: int):
+    def __init__(self, program: Program, inputs: list[int], budget: int,
+                 emit: Callable[[ExecEvent], object]):
         self.program = program
         self.inputs = inputs
         self.next_input = 0
         self.budget = budget
         self.steps = 0
-        self.events: list[ExecEvent] = []
+        self.emit = emit
         self.outputs: list[int | str] = []
         self.next_serial = 0
         self.next_oid = 0
-
-    def emit(self, ev: ExecEvent) -> None:
-        self.events.append(ev)
 
     def new_frame(self, proc: str, receiver: ObjectVal | None,
                   method: MethodDef | None, body: list[Stmt]) -> Frame:

@@ -3,9 +3,14 @@
 Consumes the execution event stream and maintains the live slice state:
 ActiveDataSlice per runtime variable, ActiveControlSlice per test node,
 ActiveCallSlice with its stack, ActiveReturnSlice, and the accumulated
-DyanSlice table with last-execution semantics. No event history is kept, so
-state size is bounded by the program's variables and nodes regardless of how
-long the run is; `peak_cardinality` makes that measurable.
+DyanSlice table with last-execution semantics. The table is keyed by
+(node, display name), exactly what `slice_of` and `criteria()` look up, so a
+node that runs in many frames keeps one entry per name rather than one per
+activation. No event history is kept and callee locals die with their frame,
+so state size is bounded by the program's variables and nodes regardless of
+how long the run is, calls in loops included; `peak_cardinality` makes that
+measurable. Feed events one at a time (`feed` as `interpreter.run`'s sink)
+or replay a buffered list (`consume`).
 
 All slice sets are frozensets of statement ids: a DyanSlice entry is a
 snapshot taken when its node executed and later state changes cannot leak
@@ -42,9 +47,8 @@ class SliceState:
     call_stack: list[frozenset[int]] = field(default_factory=list)
     active_call: frozenset[int] = EMPTY
     active_return: frozenset[int] = EMPTY
-    dyn_table: dict[tuple[int, RuntimeVar], frozenset[int]] = field(default_factory=dict)
-    # (node, display name) -> runtime var of the last execution, for queries
-    dyn_index: dict[tuple[int, str], RuntimeVar] = field(default_factory=dict)
+    # (node, display name) -> DyanSlice of the node's last execution
+    dyn_table: dict[tuple[int, str], frozenset[int]] = field(default_factory=dict)
     executed: set[int] = field(default_factory=set)
     events: int = 0
     updates: int = 0
@@ -150,11 +154,11 @@ class SliceState:
 
     def slice_of(self, node: int, var: str) -> frozenset[int]:
         """DyanSlice of (node, var) for the node's last execution."""
-        rv = self.dyn_index.get((node, var))
-        if rv is None:
+        entry = self.dyn_table.get((node, var))
+        if entry is None:
             raise CriterionError(
                 f"criterion ({node}, {var}) never executed with that variable")
-        return self.dyn_table[(node, rv)]
+        return entry
 
     def slice_of_object(self, obj: str) -> frozenset[int]:
         """Member-wise union of the object's final ActiveDataSlices."""
@@ -171,7 +175,7 @@ class SliceState:
 
     def criteria(self) -> list[tuple[int, str]]:
         """All (node, variable) pairs that are valid slicing criteria."""
-        return sorted(self.dyn_index)
+        return sorted(self.dyn_table)
 
     def cardinality(self) -> int:
         """Total stored set elements: the live memory measure."""
@@ -221,9 +225,9 @@ class SliceState:
         self.active_return = value
 
     def _set_dyn(self, sid: int, rv: RuntimeVar, value: frozenset[int]) -> None:
-        old = self.dyn_table.get((sid, rv), EMPTY)
-        self.dyn_table[(sid, rv)] = value
-        self.dyn_index[(sid, rv.display)] = rv
+        key = (sid, rv.display)
+        old = self.dyn_table.get(key, EMPTY)
+        self.dyn_table[key] = value
         self._card += len(value) - len(old)
         self.updates += 1
 

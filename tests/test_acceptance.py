@@ -15,6 +15,7 @@ from dynslice import (
     build_cdg,
     build_ddg,
     generate,
+    init,
     load,
     run,
     slice_events,
@@ -22,6 +23,7 @@ from dynslice import (
 from dynslice.cli import run_check
 from dynslice.events import CallEntered, StmtExecuted
 from dynslice.fixtures import (
+    CALLS_SOURCE,
     LOOP_SOURCE,
     SAMPLE_INPUTS,
     SAMPLE_SOURCE,
@@ -107,8 +109,21 @@ def test_criterion_5_streaming_space_bound():
     assert peaks[0] == peaks[1] == peaks[2]
     # occurrence count is affine in the iteration count
     assert nodes[2] - nodes[1] == 10 * (nodes[1] - nodes[0])
+
+    # a method call per iteration, streamed straight from the run
+    program = load(CALLS_SOURCE)
+    graph = build_cdg(program)
+    sizes = []
+    for n in (10 ** 3, 10 ** 4):
+        state = init(graph)
+        assert run(program, (n,), budget=10 * n + 100, sink=state.feed).ok
+        assert state.recount() == state.cardinality()
+        sizes.append((state.peak_cardinality, len(state.dyn_table)))
+    assert sizes[0] == sizes[1]
     print(f"PASS criterion 5: peak slicer state {peaks[0]} at 10^3..10^5 "
-          f"iterations; oracle nodes grow {nodes[0]} -> {nodes[2]}")
+          f"iterations; oracle nodes grow {nodes[0]} -> {nodes[2]}; with a call "
+          f"per iteration {sizes[0][0]} and {sizes[0][1]} DyanSlice entries "
+          f"at 10^3..10^4")
 
 
 def test_criterion_6_worked_example_reproduced_at_desk_scale():

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from dynslice import oracle
 from dynslice.cli import main
 from dynslice.fixtures import (
     CONST_LOOP_SOURCE,
@@ -49,7 +50,8 @@ def test_slice_json_report(sample_path, capsys):
         "criterion": {"node": 4, "var": "q"},
         "slice": [4],
         "executed": True,
-        "stats": {"events": 64, "updates": 81},
+        "stats": {"events": 64, "updates": 81,
+                  "peak_cardinality": 294, "dyn_entries": 56},
     }
 
 
@@ -187,6 +189,20 @@ def test_trace_partial_on_runtime_error(loop_path, capsys):
 def test_check_agrees_on_fixture(sample_path, capsys):
     assert main(["check", sample_path, "--inputs", "1,2,3,4"]) == 0
     assert capsys.readouterr().out.strip() == "OK: 56 criteria agree"
+
+
+def test_check_builds_dependence_graph_once(sample_path, capsys, monkeypatch):
+    calls = []
+    build_ddg = oracle.build_ddg
+
+    def counting(*args):
+        calls.append(1)
+        return build_ddg(*args)
+
+    monkeypatch.setattr(oracle, "build_ddg", counting)
+    assert main(["check", sample_path, "--inputs", "1,2,3,4"]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out == "OK: 56 criteria agree\n"
 
 
 def test_check_generated_seed(capsys):

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from dynslice import build_cdg, init, load, run, slice_events
-from dynslice.fixtures import BYREF_SOURCE, LOOP_SOURCE, STREAM_SOURCE
+from dynslice.fixtures import BYREF_SOURCE, CALLS_SOURCE, LOOP_SOURCE, STREAM_SOURCE
 from dynslice.slicer import CriterionError
 
 from walkthrough import OBJECT_SLICES, replay
@@ -106,6 +106,17 @@ def test_streaming_state_is_bounded():
         assert state.recount() == state.cardinality()
         peaks.append(state.peak_cardinality)
     assert peaks[0] == peaks[1]
+
+    # a call per iteration: no DyanSlice entry or live set per activation
+    program = load(CALLS_SOURCE)
+    graph = build_cdg(program)
+    sizes = []
+    for n in (10, 100, 1000):
+        state = init(graph)
+        assert run(program, (n,), budget=10 * n + 100, sink=state.feed).ok
+        assert state.recount() == state.cardinality()
+        sizes.append((state.peak_cardinality, len(state.dyn_table)))
+    assert sizes[0] == sizes[1] == sizes[2]
 
 
 def test_cardinality_counter_matches_recount(sample_cdg, sample_run):
