@@ -25,7 +25,7 @@ def table(source: str, ns: tuple[int, ...]) -> None:
         state = slice_events(graph, result.events)
         ddg = build_ddg(result.events, graph)
         print(f"{n:>10} {len(result.events):>8} {state.peak_cardinality:>18} "
-              f"{len(state.dyn_table):>18} {ddg.node_count:>13}")
+              f"{len(state.dyn_table):>18} {ddg.occurrences:>13}")
     print()
 
 

@@ -53,10 +53,6 @@ class NodeInfo:
     def_set: frozenset[VarRef]
     use_set: frozenset[VarRef]
 
-    @property
-    def is_test(self) -> bool:
-        return self.kind in ("Test", "TestLoop")
-
 
 @dataclass
 class Cdg:
@@ -64,7 +60,6 @@ class Cdg:
     entries: dict[str, NodeInfo] = field(default_factory=dict)  # key -> node
     entry_order: list[str] = field(default_factory=list)
     parent: dict[int, int | str] = field(default_factory=dict)
-    proc_of: dict[int, str] = field(default_factory=dict)
     members: dict[str, tuple[str, ...]] = field(default_factory=dict)  # class -> members
     main_objects: dict[str, str] = field(default_factory=dict)  # object -> class
     main_ints: tuple[str, ...] = ()
@@ -155,23 +150,22 @@ def build_cdg(program: Program) -> Cdg:
         key = entry_key(cls_name, method)
         g.entries[key] = NodeInfo(key, "Entry", frozenset(), frozenset())
         g.entry_order.append(key)
-        _attach(g, body, key, key)
+        _attach(g, body, key)
     return g
 
 
-def _attach(g: Cdg, body: list[Stmt], parent: int | str, proc: str) -> None:
+def _attach(g: Cdg, body: list[Stmt], parent: int | str) -> None:
     for s in body:
         if isinstance(s, VarDecl):
             continue
         defs, uses = def_use(s, g.members)
         g.nodes[s.id] = NodeInfo(s.id, _KIND[type(s)], defs, uses)
         g.parent[s.id] = parent
-        g.proc_of[s.id] = proc
         if isinstance(s, If):
-            _attach(g, s.then_body, s.id, proc)
-            _attach(g, s.else_body, s.id, proc)
+            _attach(g, s.then_body, s.id)
+            _attach(g, s.else_body, s.id)
         elif isinstance(s, While):
-            _attach(g, s.body, s.id, proc)
+            _attach(g, s.body, s.id)
 
 
 def _entry_label(key: str) -> str:

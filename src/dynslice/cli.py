@@ -11,7 +11,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, field
 
 from . import generator, interpreter, oracle, slicer
 from .cdg import Cdg, build_cdg, export_dot, export_json
@@ -23,23 +22,8 @@ from .syntax import Program, pretty
 ENV_BUDGET = "DYNSLICE_BUDGET"
 
 
-@dataclass
-class RunConfig:
-    source: str | None = None  # path, or None when generating from a seed
-    inputs: tuple[int, ...] = ()
-    budget: int = interpreter.DEFAULT_BUDGET
-    fmt: str = "text"  # "text" | "json"
-    criterion: tuple[int, str] | None = None
-    object_name: str | None = None
-    dot_path: str | None = None
-    seed: int | None = None
-    trace_path: str | None = None
-    program_text: str = field(default="", repr=False)
-
-
-def _default_budget() -> int:
-    raw = os.environ.get(ENV_BUDGET)
-    return int(raw) if raw else interpreter.DEFAULT_BUDGET
+def _budget(args: argparse.Namespace) -> int:
+    return args.budget or int(os.environ.get(ENV_BUDGET) or interpreter.DEFAULT_BUDGET)
 
 
 def _parse_inputs(args: argparse.Namespace) -> tuple[int, ...]:
@@ -62,30 +46,16 @@ def _parse_criterion(text: str) -> tuple[int, str]:
     return int(node), var
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(
-        source=getattr(args, "source", None),
-        inputs=_parse_inputs(args),
-        budget=getattr(args, "budget", None) or _default_budget(),
-        fmt="json" if getattr(args, "json", False) else "text",
-        criterion=(_parse_criterion(args.criterion)
-                   if getattr(args, "criterion", None) else None),
-        object_name=getattr(args, "object", None),
-        dot_path=getattr(args, "dot", None),
-        seed=getattr(args, "seed", None),
-        trace_path=getattr(args, "trace", None),
-    )
-    if cfg.source is not None:
-        with open(cfg.source, encoding="utf-8") as fh:
-            cfg.program_text = fh.read()
-    elif cfg.seed is not None:
-        generated = generator.generate(cfg.seed)
-        cfg.program_text = generated.source
-        if not cfg.inputs:
-            cfg.inputs = generated.inputs
-    else:
-        raise SystemExit("error: a source file (or --seed for check) is required")
-    return cfg
+def _program(args: argparse.Namespace) -> tuple[str, tuple[int, ...]]:
+    """Program text and cin inputs, from the source file or from --seed."""
+    inputs = _parse_inputs(args)
+    if args.source is not None:
+        with open(args.source, encoding="utf-8") as fh:
+            return fh.read(), inputs
+    if args.seed is not None:
+        generated = generator.generate(args.seed)
+        return generated.source, inputs or generated.inputs
+    raise SystemExit("error: a source file (or --seed for check) is required")
 
 
 def _listing(program: Program, slice_ids: frozenset[int]) -> str:
@@ -98,14 +68,14 @@ def _listing(program: Program, slice_ids: frozenset[int]) -> str:
     return "\n".join(lines)
 
 
-def _report(cfg: RunConfig, state: slicer.SliceState,
-            slice_ids: frozenset[int], executed: bool) -> dict:
-    if cfg.criterion is not None:
-        criterion = {"node": cfg.criterion[0], "var": cfg.criterion[1]}
+def _report(criterion: tuple[int, str] | None, object_name: str | None,
+            state: slicer.SliceState, slice_ids: frozenset[int], executed: bool) -> dict:
+    if criterion is not None:
+        asked = {"node": criterion[0], "var": criterion[1]}
     else:
-        criterion = {"object": cfg.object_name}
+        asked = {"object": object_name}
     return {
-        "criterion": criterion,
+        "criterion": asked,
         "slice": sorted(slice_ids),
         "executed": executed,
         "stats": {"events": state.events, "updates": state.updates,
@@ -116,29 +86,31 @@ def _report(cfg: RunConfig, state: slicer.SliceState,
 
 # -- commands -----------------------------------------------------------------
 
-def cmd_slice(cfg: RunConfig) -> int:
-    program = load(cfg.program_text)
+def cmd_slice(args: argparse.Namespace) -> int:
+    criterion = _parse_criterion(args.criterion) if args.criterion else None
+    text, inputs = _program(args)
+    program = load(text)
     state = slicer.init(build_cdg(program))
-    result = interpreter.run(program, cfg.inputs, cfg.budget, sink=state.feed)
+    result = interpreter.run(program, inputs, _budget(args), sink=state.feed)
     if not result.ok:
         print(f"error: {result.message}", file=sys.stderr)
         return 3
     try:
-        if cfg.criterion is not None:
-            ids = state.slice_of(*cfg.criterion)
+        if criterion is not None:
+            ids = state.slice_of(*criterion)
         else:
-            ids = state.slice_of_object(cfg.object_name)
+            ids = state.slice_of_object(args.object)
     except CriterionError as exc:
-        if cfg.fmt == "json" and cfg.criterion is not None:
-            print(json.dumps(_report(cfg, state, frozenset(), False), sort_keys=True))
+        if args.json and criterion is not None:
+            report = _report(criterion, args.object, state, frozenset(), False)
+            print(json.dumps(report, sort_keys=True))
         else:
             print(f"error: {exc}", file=sys.stderr)
         return 4
-    if cfg.fmt == "json":
-        print(json.dumps(_report(cfg, state, ids, True), sort_keys=True))
+    if args.json:
+        print(json.dumps(_report(criterion, args.object, state, ids, True), sort_keys=True))
     else:
-        name = (f"({cfg.criterion[0]}, {cfg.criterion[1]})"
-                if cfg.criterion is not None else cfg.object_name)
+        name = f"({criterion[0]}, {criterion[1]})" if criterion is not None else args.object
         body = ", ".join(str(i) for i in sorted(ids))
         print(f"slice {name} = {{{body}}}")
         print()
@@ -146,24 +118,25 @@ def cmd_slice(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_cdg(cfg: RunConfig) -> int:
-    program = load(cfg.program_text)
+def cmd_cdg(args: argparse.Namespace) -> int:
+    program = load(_program(args)[0])
     graph = build_cdg(program)
-    if cfg.dot_path:
-        with open(cfg.dot_path, "w", encoding="utf-8") as fh:
+    if args.dot:
+        with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(export_dot(graph))
-    elif cfg.fmt == "json":
+    elif args.json:
         sys.stdout.write(export_json(graph))
     else:
         sys.stdout.write(export_dot(graph))
     return 0
 
 
-def cmd_trace(cfg: RunConfig) -> int:
+def cmd_trace(args: argparse.Namespace) -> int:
+    text, inputs = _program(args)
     # lines are written only once the whole run serialized, so an event that
     # cannot be serialized leaves stdout empty rather than truncated
     lines: list[str] = []
-    result = interpreter.run(load(cfg.program_text), cfg.inputs, cfg.budget,
+    result = interpreter.run(load(text), inputs, _budget(args),
                              sink=lambda ev: lines.append(to_line(ev)))
     sys.stdout.writelines(lines)
     if not result.ok:
@@ -172,14 +145,15 @@ def cmd_trace(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_check(cfg: RunConfig) -> int:
-    program = load(cfg.program_text)
+def cmd_check(args: argparse.Namespace) -> int:
+    text, inputs = _program(args)
+    program = load(text)
     graph = build_cdg(program)
-    if cfg.trace_path:
-        with open(cfg.trace_path, encoding="utf-8") as fh:
+    if args.trace:
+        with open(args.trace, encoding="utf-8") as fh:
             events: list[ExecEvent] = parse_trace(fh.read())
     else:
-        result = interpreter.run(program, cfg.inputs, cfg.budget)
+        result = interpreter.run(program, inputs, _budget(args))
         if not result.ok:
             print(f"error: {result.message}", file=sys.stderr)
             return 3
@@ -270,8 +244,7 @@ def main(argv: list[str] | None = None) -> int:
               file=sys.stderr)
         return 2
     try:
-        cfg = _config(args)
-        return args.cmd(cfg)
+        return args.cmd(args)
     except SystemExit as exc:
         if isinstance(exc.code, str):
             print(exc.code, file=sys.stderr)

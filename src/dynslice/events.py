@@ -3,12 +3,20 @@
 The interpreter emits these in execution order; the slicer consumes them
 directly or replays them from a serialized trace. Round-trip is exact:
 ``parse_trace(serialize_trace(events)) == events``.
+
+A trace line is one JSON object: ``"event"`` holds the class name and every
+other key is a dataclass field of that event, nested dataclasses included,
+with keys sorted. The encoder writes tuples in the order they were emitted;
+the interpreter fixes that order, sorting each var tuple by
+``RuntimeVar.sort_key``; bindings, transfers and copy-backs keep formal and
+member declaration order.
+``from_json`` is the schema that checks a line read back in.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -112,62 +120,16 @@ class Warning(ExecEvent):
 # JSON trace round-trip
 # ---------------------------------------------------------------------------
 
-def _rv(v: RuntimeVar) -> dict:
-    return {"kind": v.kind, "owner": v.owner, "name": v.name, "display": v.display}
-
-
 def _rv_from(d: dict) -> RuntimeVar:
     return RuntimeVar(d["kind"], d["owner"], d["name"], d["display"])
-
-
-def _rvs(vs) -> list[dict]:
-    return [_rv(v) for v in sorted(vs, key=RuntimeVar.sort_key)]
 
 
 def _rvs_from(items) -> tuple[RuntimeVar, ...]:
     return tuple(_rv_from(d) for d in items)
 
 
-def to_json(ev: ExecEvent) -> dict:
-    if isinstance(ev, StmtExecuted):
-        return {"event": "StmtExecuted", "id": ev.id,
-                "defs": _rvs(ev.defs), "uses": _rvs(ev.uses)}
-    if isinstance(ev, CallEntered):
-        return {
-            "event": "CallEntered",
-            "call_site": ev.call_site,
-            "callee": {"cls": ev.callee.cls, "name": ev.callee.name,
-                       "param_types": list(ev.callee.param_types)},
-            "bindings": [
-                {"formal": b.formal, "by_ref": b.by_ref, "kind": b.kind,
-                 "transfers": [[_rv(f), [_rv(s) for s in srcs]] for f, srcs in b.transfers]}
-                for b in ev.bindings
-            ],
-        }
-    if isinstance(ev, AboutToReturn):
-        return {"event": "AboutToReturn", "id": ev.id, "uses": _rvs(ev.uses)}
-    if isinstance(ev, Returned):
-        return {
-            "event": "Returned",
-            "call_site": ev.call_site,
-            "copy_backs": [[_rv(f), _rv(a)] for f, a in ev.copy_backs],
-            "resets": _rvs(ev.resets),
-            "returned_into": _rv(ev.returned_into) if ev.returned_into else None,
-            "receiver_members": _rvs(ev.receiver_members),
-        }
-    if isinstance(ev, LoopExited):
-        return {"event": "LoopExited", "id": ev.id}
-    if isinstance(ev, InputConsumed):
-        return {"event": "InputConsumed", "id": ev.id, "value": ev.value}
-    if isinstance(ev, OutputProduced):
-        return {"event": "OutputProduced", "id": ev.id, "value": ev.value}
-    if isinstance(ev, Warning):
-        return {"event": "Warning", "id": ev.id, "message": ev.message}
-    raise TypeError(f"unknown event {ev!r}")
-
-
 def from_json(d: dict) -> ExecEvent:
-    kind = d.get("event")
+    kind = d.get("event") if isinstance(d, dict) else None
     if kind == "StmtExecuted":
         return StmtExecuted(d["id"], _rvs_from(d["defs"]), _rvs_from(d["uses"]))
     if kind == "CallEntered":
@@ -203,7 +165,8 @@ def from_json(d: dict) -> ExecEvent:
 
 def to_line(ev: ExecEvent) -> str:
     """One event as its NDJSON trace line, newline included."""
-    return json.dumps(to_json(ev), sort_keys=True) + "\n"
+    return json.dumps({"event": type(ev).__name__, **vars(ev)},
+                      default=vars, sort_keys=True) + "\n"
 
 
 def serialize_trace(events) -> str:
@@ -217,6 +180,6 @@ def parse_trace(text: str) -> list[ExecEvent]:
             continue
         try:
             events.append(from_json(json.loads(line)))
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             raise ValueError(f"malformed trace at line {lineno}: {exc}") from exc
     return events

@@ -410,8 +410,9 @@ class _Interp:
                 resets.extend(value.member_var(m) for m in members)
             else:
                 resets.append(callee.local_var(name))
-        recv_members = tuple(receiver.member_var(m)
-                             for m in self.program.class_named(receiver.cls).members)
+        recv_members = tuple(sorted(
+            map(receiver.member_var, self.program.class_named(receiver.cls).members),
+            key=RuntimeVar.sort_key))
 
         self.emit(Returned(
             s.id,

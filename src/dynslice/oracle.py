@@ -45,10 +45,6 @@ class Ddg:
     criteria: dict[tuple[int, str], tuple[int, ...]] = field(default_factory=dict)
     occurrences: int = 0  # StmtExecuted nodes only
 
-    @property
-    def node_count(self) -> int:
-        return self.occurrences
-
     def executed_criteria(self) -> list[tuple[int, str]]:
         return sorted(self.criteria)
 
@@ -153,11 +149,8 @@ def build_ddg(events: list[ExecEvent], cdg: Cdg) -> Ddg:
     return b.ddg
 
 
-def backward_slice(ddg: Ddg, node: int, var: str,
-                   occurrence: str = "last") -> frozenset[int]:
+def backward_slice(ddg: Ddg, node: int, var: str) -> frozenset[int]:
     """Statement ids backward-reachable from the criterion's anchors."""
-    if occurrence != "last":
-        raise ValueError("only last-occurrence criteria are supported")
     anchors = ddg.criteria.get((node, var))
     if anchors is None:
         raise CriterionError(

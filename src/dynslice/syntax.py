@@ -28,27 +28,21 @@ class Expr:
     pass
 
 
-@dataclass(eq=False)
+@dataclass
 class IntLit(Expr):
     value: int
-    pos: Pos | None = field(default=None, repr=False)
-
-    def __eq__(self, other):
-        return isinstance(other, IntLit) and self.value == other.value
+    pos: Pos | None = field(default=None, repr=False, compare=False)
 
 
-@dataclass(eq=False)
+@dataclass
 class StrLit(Expr):
     """String literal; only legal as the shipped value of an output statement."""
 
     value: str
-    pos: Pos | None = field(default=None, repr=False)
-
-    def __eq__(self, other):
-        return isinstance(other, StrLit) and self.value == other.value
+    pos: Pos | None = field(default=None, repr=False, compare=False)
 
 
-@dataclass(eq=False)
+@dataclass
 class Name(Expr):
     """A scalar or object reference: ``x``, ``T1.a``, or a bare member name.
 
@@ -59,35 +53,20 @@ class Name(Expr):
 
     base: str
     member: str | None = None
-    pos: Pos | None = field(default=None, repr=False)
-    binding: str | None = field(default=None, repr=False)
-    cls: str | None = field(default=None, repr=False)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Name)
-            and self.base == other.base
-            and self.member == other.member
-        )
+    pos: Pos | None = field(default=None, repr=False, compare=False)
+    binding: str | None = field(default=None, repr=False, compare=False)
+    cls: str | None = field(default=None, repr=False, compare=False)
 
     def display(self) -> str:
         return f"{self.base}.{self.member}" if self.member else self.base
 
 
-@dataclass(eq=False)
+@dataclass
 class BinOp(Expr):
     op: str  # + - * / < > <= >= == !=
     left: Expr
     right: Expr
-    pos: Pos | None = field(default=None, repr=False)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BinOp)
-            and self.op == other.op
-            and self.left == other.left
-            and self.right == other.right
-        )
+    pos: Pos | None = field(default=None, repr=False, compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -99,46 +78,32 @@ class Stmt:
     pass
 
 
-@dataclass(eq=False)
+@dataclass
 class Assign(Stmt):
     target: Name
     value: Expr
     id: int | None = None
-    label: int | None = field(default=None, repr=False)
-    pos: Pos | None = field(default=None, repr=False)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Assign)
-            and self.id == other.id
-            and self.target == other.target
-            and self.value == other.value
-        )
+    label: int | None = field(default=None, repr=False, compare=False)
+    pos: Pos | None = field(default=None, repr=False, compare=False)
 
 
-@dataclass(eq=False)
+@dataclass
 class Input(Stmt):
     target: Name
     id: int | None = None
-    label: int | None = field(default=None, repr=False)
-    pos: Pos | None = field(default=None, repr=False)
-
-    def __eq__(self, other):
-        return isinstance(other, Input) and self.id == other.id and self.target == other.target
+    label: int | None = field(default=None, repr=False, compare=False)
+    pos: Pos | None = field(default=None, repr=False, compare=False)
 
 
-@dataclass(eq=False)
+@dataclass
 class Output(Stmt):
     value: Expr
     id: int | None = None
-    label: int | None = field(default=None, repr=False)
-    pos: Pos | None = field(default=None, repr=False)
-
-    def __eq__(self, other):
-        return isinstance(other, Output) and self.id == other.id and self.value == other.value
+    label: int | None = field(default=None, repr=False, compare=False)
+    pos: Pos | None = field(default=None, repr=False, compare=False)
 
 
-@dataclass(eq=False)
+@dataclass
 class Call(Stmt):
     """``recv.method(args);`` or ``target = recv.method(args);``.
 
@@ -150,83 +115,46 @@ class Call(Stmt):
     args: list[Expr] = field(default_factory=list)
     assign_to: Name | None = None
     id: int | None = None
-    label: int | None = field(default=None, repr=False)
-    pos: Pos | None = field(default=None, repr=False)
-    resolved: "MethodDef | None" = field(default=None, repr=False)
-    receiver_cls: str | None = field(default=None, repr=False)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Call)
-            and self.id == other.id
-            and self.receiver == other.receiver
-            and self.method == other.method
-            and self.args == other.args
-            and self.assign_to == other.assign_to
-        )
+    label: int | None = field(default=None, repr=False, compare=False)
+    pos: Pos | None = field(default=None, repr=False, compare=False)
+    resolved: "MethodDef | None" = field(default=None, repr=False, compare=False)
+    receiver_cls: str | None = field(default=None, repr=False, compare=False)
 
 
-@dataclass(eq=False)
+@dataclass
 class If(Stmt):
     cond: Expr
     then_body: list[Stmt] = field(default_factory=list)
     else_body: list[Stmt] = field(default_factory=list)
     id: int | None = None
-    label: int | None = field(default=None, repr=False)
-    pos: Pos | None = field(default=None, repr=False)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, If)
-            and self.id == other.id
-            and self.cond == other.cond
-            and self.then_body == other.then_body
-            and self.else_body == other.else_body
-        )
+    label: int | None = field(default=None, repr=False, compare=False)
+    pos: Pos | None = field(default=None, repr=False, compare=False)
 
 
-@dataclass(eq=False)
+@dataclass
 class While(Stmt):
     cond: Expr
     body: list[Stmt] = field(default_factory=list)
     id: int | None = None
-    label: int | None = field(default=None, repr=False)
-    pos: Pos | None = field(default=None, repr=False)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, While)
-            and self.id == other.id
-            and self.cond == other.cond
-            and self.body == other.body
-        )
+    label: int | None = field(default=None, repr=False, compare=False)
+    pos: Pos | None = field(default=None, repr=False, compare=False)
 
 
-@dataclass(eq=False)
+@dataclass
 class Return(Stmt):
     value: Expr | None = None
     id: int | None = None
-    label: int | None = field(default=None, repr=False)
-    pos: Pos | None = field(default=None, repr=False)
-
-    def __eq__(self, other):
-        return isinstance(other, Return) and self.id == other.id and self.value == other.value
+    label: int | None = field(default=None, repr=False, compare=False)
+    pos: Pos | None = field(default=None, repr=False, compare=False)
 
 
-@dataclass(eq=False)
+@dataclass
 class VarDecl(Stmt):
     """Declaration: not executable, carries no statement id."""
 
     decl_type: str  # "int" or a class name
     names: list[str] = field(default_factory=list)
-    pos: Pos | None = field(default=None, repr=False)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, VarDecl)
-            and self.decl_type == other.decl_type
-            and self.names == other.names
-        )
+    pos: Pos | None = field(default=None, repr=False, compare=False)
 
 
 EXECUTABLE = (Assign, Input, Output, Call, If, While, Return)
@@ -236,20 +164,12 @@ EXECUTABLE = (Assign, Input, Output, Call, If, While, Return)
 # Declarations
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False)
+@dataclass
 class Formal:
     name: str
     type: str  # "int" or a class name
     by_ref: bool = False
-    pos: Pos | None = field(default=None, repr=False)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Formal)
-            and self.name == other.name
-            and self.type == other.type
-            and self.by_ref == other.by_ref
-        )
+    pos: Pos | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -263,59 +183,34 @@ class Signature:
         return f"{self.name}({','.join(self.param_types)})"
 
 
-@dataclass(eq=False)
+@dataclass
 class MethodDef:
     name: str
     return_type: str  # "void", "int", or a class name
     formals: list[Formal] = field(default_factory=list)
     body: list[Stmt] = field(default_factory=list)
-    pos: Pos | None = field(default=None, repr=False)
-    cls: str | None = field(default=None, repr=False)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MethodDef)
-            and self.name == other.name
-            and self.return_type == other.return_type
-            and self.formals == other.formals
-            and self.body == other.body
-        )
+    pos: Pos | None = field(default=None, repr=False, compare=False)
+    cls: str | None = field(default=None, repr=False, compare=False)
 
     @property
     def signature(self) -> Signature:
         return Signature(self.name, tuple(f.type for f in self.formals))
 
 
-@dataclass(eq=False)
+@dataclass
 class ClassDef:
     name: str
     members: list[str] = field(default_factory=list)  # all int-typed
     methods: list[MethodDef] = field(default_factory=list)
-    pos: Pos | None = field(default=None, repr=False)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ClassDef)
-            and self.name == other.name
-            and self.members == other.members
-            and self.methods == other.methods
-        )
+    pos: Pos | None = field(default=None, repr=False, compare=False)
 
 
-@dataclass(eq=False)
+@dataclass
 class Program:
     classes: list[ClassDef] = field(default_factory=list)
     main: list[Stmt] = field(default_factory=list)
     stmt_count: int = 0
-    checked: bool = field(default=False, repr=False)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Program)
-            and self.classes == other.classes
-            and self.main == other.main
-            and self.stmt_count == other.stmt_count
-        )
+    checked: bool = field(default=False, repr=False, compare=False)
 
     def class_named(self, name: str) -> ClassDef | None:
         for c in self.classes:
@@ -334,12 +229,6 @@ class Program:
         """All executable statements in textual order (nested included)."""
         for _, _, body in self.procedures():
             yield from walk(body)
-
-    def stmt_by_id(self, sid: int) -> Stmt | None:
-        for s in self.statements():
-            if s.id == sid:
-                return s
-        return None
 
 
 def walk(body: list[Stmt]):

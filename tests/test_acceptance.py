@@ -105,7 +105,7 @@ def test_criterion_5_streaming_space_bound():
         state = slice_events(graph, result.events)
         assert state.recount() == state.cardinality()
         peaks.append(state.peak_cardinality)
-        nodes.append(build_ddg(result.events, graph).node_count)
+        nodes.append(build_ddg(result.events, graph).occurrences)
     assert peaks[0] == peaks[1] == peaks[2]
     # occurrence count is affine in the iteration count
     assert nodes[2] - nodes[1] == 10 * (nodes[1] - nodes[0])

@@ -218,6 +218,16 @@ def test_check_replays_serialized_trace(sample_path, tmp_path, capsys):
     assert "OK: 56" in capsys.readouterr().out
 
 
+def test_check_rejects_non_object_trace_line(sample_path, tmp_path, capsys):
+    for record in ("3", "[1,2]"):
+        trace = tmp_path / "bad.ndjson"
+        trace.write_text('{"event": "LoopExited", "id": 3}\n' + record + "\n")
+        assert main(["check", sample_path, "--trace", str(trace)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "line 2" in captured.err
+
+
 def test_check_flags_corrupted_trace(tmp_path, capsys):
     # move the loop-body record past LoopExited: the streaming slicer has
     # already cleared the loop's control slice, the graph oracle still sees

@@ -178,10 +178,33 @@ def test_run_requires_checked_program():
         run(parse(LOOP_SOURCE), (2,))
 
 
-def test_trace_round_trip(sample_run):
-    text = serialize_trace(sample_run.events)
-    assert parse_trace(text) == sample_run.events
-    assert len(text.splitlines()) == len(sample_run.events)
+# members declared out of alphabetical order: the Returned event after
+# b.set(3) must list (b.a, b.z) both in memory and after a round trip
+UNSORTED_MEMBERS_SOURCE = """\
+class box {
+    int z;
+    int a;
+public:
+    void set(int v) {
+        #3: z = v;
+        #4: a = v + 1;
+    }
+};
+
+void main() {
+    box b;
+    #1: b.set(3);
+    #2: cout << b.z;
+}
+"""
+
+
+def test_trace_round_trip():
+    for source, inputs in ((SAMPLE_SOURCE, SAMPLE_INPUTS), (UNSORTED_MEMBERS_SOURCE, ())):
+        events = run(load(source), inputs).events
+        text = serialize_trace(events)
+        assert parse_trace(text) == events
+        assert len(text.splitlines()) == len(events)
 
 
 def test_parse_trace_rejects_garbage():
@@ -189,3 +212,7 @@ def test_parse_trace_rejects_garbage():
         parse_trace("not json\n")
     with pytest.raises(ValueError, match="line 2"):
         parse_trace('{"event": "LoopExited", "id": 3}\n{"event": "StmtExecuted"}\n')
+    with pytest.raises(ValueError, match="line 2"):
+        parse_trace('{"event": "LoopExited", "id": 3}\n3\n')
+    with pytest.raises(ValueError, match="line 1"):
+        parse_trace("[1,2]\n")

@@ -23,7 +23,6 @@ def test_one_occurrence_per_statement_execution(sample_run, sample_cdg):
     ddg = build_ddg(sample_run.events, sample_cdg)
     executed = [e for e in sample_run.events if isinstance(e, StmtExecuted)]
     assert ddg.occurrences == len(executed) == 32
-    assert ddg.node_count == ddg.occurrences
 
 
 def test_sample_slices_from_graph(sample_run, sample_cdg):
@@ -66,8 +65,6 @@ def test_unknown_criterion():
     ddg = build_ddg(run(program, (1,)).events, build_cdg(program))
     with pytest.raises(CriterionError):
         backward_slice(ddg, 99, "s")
-    with pytest.raises(ValueError):
-        backward_slice(ddg, 6, "s", occurrence="first")
 
 
 def test_executed_criteria_match_streaming(sample_run, sample_cdg):
