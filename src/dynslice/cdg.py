@@ -48,8 +48,7 @@ class VarRef:
 
 @dataclass(frozen=True)
 class NodeInfo:
-    id: int | str  # StmtId, or entry key for Entry nodes
-    kind: str  # Assign, Input, Output, Test, TestLoop, Call, Return, Entry
+    kind: str  # Assign, Input, Output, Test, TestLoop, Call, Return
     def_set: frozenset[VarRef]
     use_set: frozenset[VarRef]
 
@@ -57,12 +56,10 @@ class NodeInfo:
 @dataclass
 class Cdg:
     nodes: dict[int, NodeInfo] = field(default_factory=dict)
-    entries: dict[str, NodeInfo] = field(default_factory=dict)  # key -> node
-    entry_order: list[str] = field(default_factory=list)
+    entry_order: list[str] = field(default_factory=list)  # Entry node keys
     parent: dict[int, int | str] = field(default_factory=dict)
     members: dict[str, tuple[str, ...]] = field(default_factory=dict)  # class -> members
     main_objects: dict[str, str] = field(default_factory=dict)  # object -> class
-    main_ints: tuple[str, ...] = ()
 
     def kind(self, sid: int) -> str:
         return self.nodes[sid].kind
@@ -134,21 +131,12 @@ def build_cdg(program: Program) -> Cdg:
         raise ValueError("build_cdg requires a checked Program")
     g = Cdg()
     g.members = {c.name: tuple(c.members) for c in program.classes}
-    objs: dict[str, str] = {}
-    ints: list[str] = []
-    for s in program.main:
-        if isinstance(s, VarDecl):
-            for n in s.names:
-                if s.decl_type == "int":
-                    ints.append(n)
-                else:
-                    objs[n] = s.decl_type
-    g.main_objects = objs
-    g.main_ints = tuple(ints)
+    g.main_objects = {n: s.decl_type for s in program.main
+                      if isinstance(s, VarDecl) and s.decl_type != "int"
+                      for n in s.names}
 
     for cls_name, method, body in program.procedures():
         key = entry_key(cls_name, method)
-        g.entries[key] = NodeInfo(key, "Entry", frozenset(), frozenset())
         g.entry_order.append(key)
         _attach(g, body, key)
     return g
@@ -159,7 +147,7 @@ def _attach(g: Cdg, body: list[Stmt], parent: int | str) -> None:
         if isinstance(s, VarDecl):
             continue
         defs, uses = def_use(s, g.members)
-        g.nodes[s.id] = NodeInfo(s.id, _KIND[type(s)], defs, uses)
+        g.nodes[s.id] = NodeInfo(_KIND[type(s)], defs, uses)
         g.parent[s.id] = parent
         if isinstance(s, If):
             _attach(g, s.then_body, s.id)

@@ -1,7 +1,8 @@
 """Command-line surface: slice, cdg, trace, and check subcommands.
 
-Exit codes: 0 ok, 2 parse/check error, 3 runtime error, 4 criterion error,
-5 engine mismatch. `DYNSLICE_BUDGET` sets the default step budget.
+Exit codes: 0 ok, 2 parse/check error (a malformed or foreign trace and a step
+budget below 1 included), 3 runtime error, 4 criterion error, 5 engine
+mismatch. `DYNSLICE_BUDGET` sets the default step budget.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import sys
 
 from . import generator, interpreter, oracle, slicer
 from .cdg import Cdg, build_cdg, export_dot, export_json
-from .events import ExecEvent, parse_trace, to_line
+from .events import ExecEvent, parse_trace, to_line, validate_trace
 from .frontend import SourceError, load
 from .slicer import CriterionError
 from .syntax import Program, pretty
@@ -23,7 +24,13 @@ ENV_BUDGET = "DYNSLICE_BUDGET"
 
 
 def _budget(args: argparse.Namespace) -> int:
-    return args.budget or int(os.environ.get(ENV_BUDGET) or interpreter.DEFAULT_BUDGET)
+    if args.budget is not None:
+        budget = args.budget
+    else:
+        budget = int(os.environ.get(ENV_BUDGET) or interpreter.DEFAULT_BUDGET)
+    if budget < 1:
+        raise ValueError(f"step budget must be at least 1, got {budget}")
+    return budget
 
 
 def _parse_inputs(args: argparse.Namespace) -> tuple[int, ...]:
@@ -152,6 +159,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     if args.trace:
         with open(args.trace, encoding="utf-8") as fh:
             events: list[ExecEvent] = parse_trace(fh.read())
+        validate_trace(events, graph)
     else:
         result = interpreter.run(program, inputs, _budget(args))
         if not result.ok:
@@ -195,12 +203,11 @@ def _first_mismatch(state: slicer.SliceState, ddg: oracle.Ddg):
 
 # -- argument wiring -------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser, inputs: bool = True) -> None:
-    if inputs:
-        p.add_argument("--inputs", help="comma-separated integers for cin")
-        p.add_argument("--inputs-file", help="file of integers for cin (flag wins)")
-        p.add_argument("--budget", type=int, help="step budget (default "
-                       f"${ENV_BUDGET} or {interpreter.DEFAULT_BUDGET})")
+def _add_common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--inputs", help="comma-separated integers for cin")
+    p.add_argument("--inputs-file", help="file of integers for cin (flag wins)")
+    p.add_argument("--budget", type=int, help="step budget (default "
+                   f"${ENV_BUDGET} or {interpreter.DEFAULT_BUDGET})")
 
 
 def build_parser() -> argparse.ArgumentParser:

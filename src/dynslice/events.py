@@ -10,13 +10,17 @@ with keys sorted. The encoder writes tuples in the order they were emitted;
 the interpreter fixes that order, sorting each var tuple by
 ``RuntimeVar.sort_key``; bindings, transfers and copy-backs keep formal and
 member declaration order.
-``from_json`` is the schema that checks a line read back in.
+``from_json`` is the schema that checks a line read back in, and
+``validate_trace`` checks a parsed trace against the program it is replayed
+on, so that neither engine meets an event it cannot place.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+
+from .cdg import Cdg
 
 
 @dataclass(frozen=True)
@@ -121,7 +125,11 @@ class Warning(ExecEvent):
 # ---------------------------------------------------------------------------
 
 def _rv_from(d: dict) -> RuntimeVar:
-    return RuntimeVar(d["kind"], d["owner"], d["name"], d["display"])
+    rv = RuntimeVar(d["kind"], d["owner"], d["name"], d["display"])
+    if (rv.kind not in ("local", "member") or type(rv.owner) is not int
+            or type(rv.name) is not str or type(rv.display) is not str):
+        raise ValueError(f"malformed variable: {d!r}")
+    return rv
 
 
 def _rvs_from(items) -> tuple[RuntimeVar, ...]:
@@ -183,3 +191,35 @@ def parse_trace(text: str) -> list[ExecEvent]:
         except (ValueError, KeyError, TypeError) as exc:
             raise ValueError(f"malformed trace at line {lineno}: {exc}") from exc
     return events
+
+
+def validate_trace(events: list[ExecEvent], graph: Cdg) -> None:
+    """Reject (ValueError) a parsed trace that this program's runs cannot
+    produce: a node id it does not have, a node before its governing test, a
+    LoopExited off a loop, or a Returned without its CallEntered."""
+    executed: set[int] = set()
+    open_calls: list[int] = []
+    for i, ev in enumerate(events, start=1):
+        if isinstance(ev, (StmtExecuted, LoopExited)):
+            node = ev.id
+        elif isinstance(ev, CallEntered):
+            node = ev.call_site
+            open_calls.append(node)
+        elif isinstance(ev, Returned):
+            node = ev.call_site
+            if not open_calls or open_calls.pop() != node:
+                raise ValueError(f"trace event {i}: Returned from {node!r} "
+                                 "without its CallEntered")
+        elif isinstance(ev, AboutToReturn) and ev.id is not None:
+            node = ev.id
+        else:
+            continue
+        if type(node) is not int or node not in graph.nodes:
+            raise ValueError(f"trace event {i}: no node {node!r} in this program")
+        test = graph.parent_test(node)
+        if test is not None and test not in executed:
+            raise ValueError(f"trace event {i}: node {node} before its test {test}")
+        if isinstance(ev, LoopExited) and graph.kind(node) != "TestLoop":
+            raise ValueError(f"trace event {i}: LoopExited on non-loop node {node}")
+        if isinstance(ev, StmtExecuted):
+            executed.add(node)

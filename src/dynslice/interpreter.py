@@ -13,6 +13,10 @@ Semantics:
 - The receiver is bound by reference, so member writes inside a method are
   writes to the caller's object.
 
+Each expression is walked once: `eval` computes its value and collects the
+variables it reads, in read order, as the statement's uses. `locate` is the
+one place that maps a bound name to its storage and RuntimeVar.
+
 Event order around a call: CallEntered, the callee's events, AboutToReturn
 just before an executed return node, Returned (copy-backs, resets), and only
 then the call site's own StmtExecuted. Loop tests emit StmtExecuted per
@@ -26,7 +30,8 @@ is then an empty list, so no trace-sized structure is kept.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+import operator
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 from .events import (
@@ -51,7 +56,6 @@ from .syntax import (
     If,
     Input,
     IntLit,
-    MethodDef,
     Name,
     Output,
     Program,
@@ -63,6 +67,10 @@ from .syntax import (
 )
 
 DEFAULT_BUDGET = 100000
+
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+        "<": operator.lt, ">": operator.gt, "<=": operator.le,
+        ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
 
 
 class RunInterrupt(Exception):
@@ -93,10 +101,8 @@ class ObjectVal:
 
 @dataclass
 class Frame:
-    proc: str
     serial: int
     receiver: ObjectVal | None = None
-    method: MethodDef | None = None
     locals: dict[str, "int | ObjectVal | None"] = field(default_factory=dict)
 
     def local_var(self, name: str) -> RuntimeVar:
@@ -130,7 +136,7 @@ def run(program: Program, inputs: list[int] | tuple[int, ...] = (),
     interp = _Interp(program, list(inputs), budget,
                      events.append if sink is None else sink)
     try:
-        frame = interp.new_frame("main", None, None, program.main)
+        frame = interp.new_frame(None, program.main)
         try:
             interp.exec_block(program.main, frame)
         except _ReturnSignal:
@@ -153,10 +159,9 @@ class _Interp:
         self.next_serial = 0
         self.next_oid = 0
 
-    def new_frame(self, proc: str, receiver: ObjectVal | None,
-                  method: MethodDef | None, body: list[Stmt]) -> Frame:
+    def new_frame(self, receiver: ObjectVal | None, body: list[Stmt]) -> Frame:
         self.next_serial += 1
-        frame = Frame(proc, self.next_serial, receiver, method)
+        frame = Frame(self.next_serial, receiver)
         # declarations are procedure-scoped; objects exist from frame entry
         for s in _decls(body):
             for name in s.names:
@@ -170,93 +175,51 @@ class _Interp:
         self.next_oid += 1
         return ObjectVal(cls, self.next_oid, var_name)
 
-    # -- reads and writes ---------------------------------------------------
+    # -- reads, writes and evaluation ----------------------------------------
 
-    def read_name(self, name: Name, frame: Frame, at: int) -> int:
+    def locate(self, name: Name, frame: Frame) -> tuple[dict, str, RuntimeVar]:
+        """Storage dict, key and RuntimeVar of a bound int-valued Name."""
+        if name.binding == "int_local":
+            return frame.locals, name.base, frame.local_var(name.base)
         if name.binding == "recv_member":
             obj, member = frame.receiver, name.base
         elif name.binding == "obj_member":
             obj, member = frame.locals[name.base], name.member
-        elif name.binding == "int_local":
-            value = frame.locals[name.base]
-            if value is None:
-                self.emit(Warning(at, f"read of uninitialized {name.base!r}"))
-                return 0
-            return value
         else:
             raise ValueError(f"object {name.base!r} read as a value")
-        if member not in obj.members:
-            self.emit(Warning(at, f"read of uninitialized {obj.var_name}.{member}"))
-            return 0
-        return obj.members[member]
+        return obj.members, member, obj.member_var(member)
 
-    def write_name(self, name: Name, frame: Frame, value: int) -> None:
-        if name.binding == "recv_member":
-            frame.receiver.members[name.base] = value
-        elif name.binding == "obj_member":
-            frame.locals[name.base].members[name.member] = value
-        else:
-            frame.locals[name.base] = value
+    def write(self, name: Name, frame: Frame, value: int) -> RuntimeVar:
+        store, key, var = self.locate(name, frame)
+        store[key] = value
+        return var
 
-    def name_var(self, name: Name, frame: Frame) -> RuntimeVar:
-        if name.binding == "recv_member":
-            return frame.receiver.member_var(name.base)
-        if name.binding == "obj_member":
-            return frame.locals[name.base].member_var(name.member)
-        return frame.local_var(name.base)
-
-    def expr_vars(self, e: Expr, frame: Frame) -> list[RuntimeVar]:
-        """RuntimeVars read by an expression; object names expand member-wise."""
-        if isinstance(e, (IntLit, StrLit)):
-            return []
+    def eval(self, e: Expr, frame: Frame, at: int, uses: list[RuntimeVar]) -> int:
+        """Value of an int expression; appends each variable read to `uses`."""
         if isinstance(e, Name):
-            if e.binding == "obj_local":
-                obj = frame.locals[e.base]
-                members = self.program.class_named(obj.cls).members
-                return [obj.member_var(m) for m in members]
-            return [self.name_var(e, frame)]
-        if isinstance(e, BinOp):
-            return self.expr_vars(e.left, frame) + self.expr_vars(e.right, frame)
-        raise TypeError(f"unknown expression {e!r}")
-
-    # -- evaluation ----------------------------------------------------------
-
-    def eval(self, e: Expr, frame: Frame, at: int) -> int:
+            store, key, var = self.locate(e, frame)
+            uses.append(var)
+            value = store.get(key)  # None or absent = uninitialized
+            if value is None:
+                shown = repr(var.display) if var.kind == "local" else var.display
+                self.emit(Warning(at, f"read of uninitialized {shown}"))
+                return 0
+            return value
         if isinstance(e, IntLit):
             return e.value
-        if isinstance(e, Name):
-            return self.read_name(e, frame, at)
         if isinstance(e, BinOp):
-            left = self.eval(e.left, frame, at)
-            right = self.eval(e.right, frame, at)
+            left = self.eval(e.left, frame, at, uses)
+            right = self.eval(e.right, frame, at, uses)
             return self.apply(e.op, left, right, at)
         raise TypeError(f"cannot evaluate {e!r}")
 
     def apply(self, op: str, a: int, b: int, at: int) -> int:
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
         if op == "/":
             if b == 0:
                 raise RunInterrupt("div-by-zero", f"division by zero at node {at}")
             q = abs(a) // abs(b)
             return q if (a < 0) == (b < 0) else -q
-        if op == "<":
-            return int(a < b)
-        if op == ">":
-            return int(a > b)
-        if op == "<=":
-            return int(a <= b)
-        if op == ">=":
-            return int(a >= b)
-        if op == "==":
-            return int(a == b)
-        if op == "!=":
-            return int(a != b)
-        raise ValueError(f"unknown operator {op!r}")
+        return int(_OPS[op](a, b))  # relational results become 1/0
 
     # -- statement execution --------------------------------------------------
 
@@ -266,13 +229,9 @@ class _Interp:
             raise RunInterrupt("budget-exceeded",
                                f"step budget {self.budget} exceeded at node {s.id}")
 
-    def stmt_event(self, s: Stmt, frame: Frame,
-                   defs: list[RuntimeVar], uses: list[RuntimeVar]) -> None:
-        self.emit(StmtExecuted(
-            s.id,
-            tuple(sorted(set(defs), key=RuntimeVar.sort_key)),
-            tuple(sorted(set(uses), key=RuntimeVar.sort_key)),
-        ))
+    def stmt_event(self, s: Stmt, defs: list[RuntimeVar],
+                   uses: list[RuntimeVar]) -> None:
+        self.emit(StmtExecuted(s.id, _ordered(set(defs)), _ordered(set(uses))))
 
     def exec_block(self, body: list[Stmt], frame: Frame) -> None:
         for s in body:
@@ -281,10 +240,10 @@ class _Interp:
 
     def exec_stmt(self, s: Stmt, frame: Frame) -> None:
         self.charge(s)
+        uses: list[RuntimeVar] = []
         if isinstance(s, Assign):
-            uses = self.expr_vars(s.value, frame)
-            self.write_name(s.target, frame, self.eval(s.value, frame, s.id))
-            self.stmt_event(s, frame, [self.name_var(s.target, frame)], uses)
+            value = self.eval(s.value, frame, s.id, uses)
+            self.stmt_event(s, [self.write(s.target, frame, value)], uses)
         elif isinstance(s, Input):
             if self.next_input >= len(self.inputs):
                 raise RunInterrupt("input-exhausted",
@@ -292,44 +251,34 @@ class _Interp:
             value = self.inputs[self.next_input]
             self.next_input += 1
             self.emit(InputConsumed(s.id, value))
-            self.write_name(s.target, frame, value)
-            self.stmt_event(s, frame, [self.name_var(s.target, frame)], [])
+            self.stmt_event(s, [self.write(s.target, frame, value)], uses)
         elif isinstance(s, Output):
             if isinstance(s.value, StrLit):
                 value: int | str = s.value.value
-                uses: list[RuntimeVar] = []
             else:
-                uses = self.expr_vars(s.value, frame)
-                value = self.eval(s.value, frame, s.id)
+                value = self.eval(s.value, frame, s.id, uses)
             self.outputs.append(value)
             self.emit(OutputProduced(s.id, value))
-            self.stmt_event(s, frame, [], uses)
+            self.stmt_event(s, [], uses)
         elif isinstance(s, If):
-            uses = self.expr_vars(s.cond, frame)
-            taken = self.eval(s.cond, frame, s.id) != 0
-            self.stmt_event(s, frame, [], uses)
+            taken = self.eval(s.cond, frame, s.id, uses) != 0
+            self.stmt_event(s, [], uses)
             self.exec_block(s.then_body if taken else s.else_body, frame)
         elif isinstance(s, While):
             # entry charge covers the first condition evaluation
             while True:
-                uses = self.expr_vars(s.cond, frame)
-                alive = self.eval(s.cond, frame, s.id) != 0
-                self.stmt_event(s, frame, [], uses)
+                uses = []
+                alive = self.eval(s.cond, frame, s.id, uses) != 0
+                self.stmt_event(s, [], uses)
                 if not alive:
                     self.emit(LoopExited(s.id))
                     break
                 self.exec_block(s.body, frame)
                 self.charge(s)
         elif isinstance(s, Return):
-            if s.value is None:
-                self.emit(AboutToReturn(s.id, ()))
-                self.stmt_event(s, frame, [], [])
-                raise _ReturnSignal(None)
-            uses = self.expr_vars(s.value, frame)
-            value = self.eval(s.value, frame, s.id)
-            self.emit(AboutToReturn(
-                s.id, tuple(sorted(set(uses), key=RuntimeVar.sort_key))))
-            self.stmt_event(s, frame, [], uses)
+            value = None if s.value is None else self.eval(s.value, frame, s.id, uses)
+            self.emit(AboutToReturn(s.id, _ordered(set(uses))))
+            self.stmt_event(s, [], uses)
             raise _ReturnSignal(value)
         elif isinstance(s, Call):
             self.exec_call(s, frame)
@@ -341,25 +290,24 @@ class _Interp:
     def exec_call(self, s: Call, frame: Frame) -> None:
         receiver = frame.locals[s.receiver.base]
         method = s.resolved
-        callee = self.new_frame(f"{s.receiver_cls}.{method.signature}",
-                                receiver, method, method.body)
+        callee = self.new_frame(receiver, method.body)
 
         uses: list[RuntimeVar] = []
         bindings: list[Binding] = []
         copy_backs: list[tuple[RuntimeVar, RuntimeVar]] = []
         write_backs: list[tuple[Name, str]] = []  # (actual lvalue, formal name)
         for f, a in zip(method.formals, s.args):
-            arg_vars = self.expr_vars(a, frame)
-            uses.extend(arg_vars)
             if f.type == "int":
-                value = self.eval(a, frame, s.id)
-                callee.locals[f.name] = value
+                arg_vars: list[RuntimeVar] = []
+                callee.locals[f.name] = self.eval(a, frame, s.id, arg_vars)
+                uses.extend(arg_vars)
                 f_var = callee.local_var(f.name)
                 kind = "literal" if not arg_vars else "var"
                 bindings.append(Binding(f.name, f.by_ref, kind,
                                         ((f_var, tuple(arg_vars)),)))
                 if f.by_ref:
-                    copy_backs.append((f_var, self.name_var(a, frame)))
+                    # a by-reference actual is a single variable
+                    copy_backs.append((f_var, arg_vars[0]))
                     write_backs.append((a, f.name))
             else:
                 actual_obj = frame.locals[a.base]
@@ -369,10 +317,10 @@ class _Interp:
                 members = self.program.class_named(f.type).members
                 transfers = tuple(
                     (copy.member_var(m), (actual_obj.member_var(m),)) for m in members)
+                uses.extend(src for _, (src,) in transfers)
                 bindings.append(Binding(f.name, f.by_ref, "object", transfers))
                 if f.by_ref:
-                    copy_backs.extend(
-                        (copy.member_var(m), actual_obj.member_var(m)) for m in members)
+                    copy_backs.extend((f_var, src) for f_var, (src,) in transfers)
                     write_backs.append((a, f.name))
 
         self.emit(CallEntered(s.id, Callee(s.receiver_cls, method.name,
@@ -391,17 +339,14 @@ class _Interp:
             if isinstance(formal_val, ObjectVal):
                 frame.locals[a.base].members = dict(formal_val.members)
             else:
-                self.write_name(a, frame, 0 if formal_val is None else formal_val)
+                self.write(a, frame, 0 if formal_val is None else formal_val)
 
         returned_into = None
-        defs: list[RuntimeVar] = []
         if s.assign_to is not None:
             if returned is None:
                 self.emit(Warning(s.id, f"{s.receiver_cls}.{method.name} returned no value"))
                 returned = 0
-            self.write_name(s.assign_to, frame, returned)
-            returned_into = self.name_var(s.assign_to, frame)
-            defs.append(returned_into)
+            returned_into = self.write(s.assign_to, frame, returned)
 
         resets: list[RuntimeVar] = []
         for name, value in callee.locals.items():
@@ -410,18 +355,16 @@ class _Interp:
                 resets.extend(value.member_var(m) for m in members)
             else:
                 resets.append(callee.local_var(name))
-        recv_members = tuple(sorted(
-            map(receiver.member_var, self.program.class_named(receiver.cls).members),
-            key=RuntimeVar.sort_key))
+        recv_members = map(receiver.member_var,
+                           self.program.class_named(receiver.cls).members)
 
-        self.emit(Returned(
-            s.id,
-            tuple(copy_backs),
-            tuple(sorted(resets, key=RuntimeVar.sort_key)),
-            returned_into,
-            recv_members,
-        ))
-        self.stmt_event(s, frame, defs, uses)
+        self.emit(Returned(s.id, tuple(copy_backs), _ordered(resets), returned_into,
+                           _ordered(recv_members)))
+        self.stmt_event(s, [returned_into] if returned_into else [], uses)
+
+
+def _ordered(vs: Iterable[RuntimeVar]) -> tuple[RuntimeVar, ...]:
+    return tuple(sorted(vs, key=RuntimeVar.sort_key))
 
 
 def _decls(body: list[Stmt]):

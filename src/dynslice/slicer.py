@@ -14,7 +14,9 @@ or replay a buffered list (`consume`).
 
 All slice sets are frozensets of statement ids: a DyanSlice entry is a
 snapshot taken when its node executed and later state changes cannot leak
-into it.
+into it. State changes size only through `_put`/`_drop` (the keyed stores
+active_data, active_control and dyn_table), `_set_call`/`_set_return` and
+the call-stack push and pop; each keeps the running `cardinality()` in step.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ class SliceState:
     active_return: frozenset[int] = EMPTY
     # (node, display name) -> DyanSlice of the node's last execution
     dyn_table: dict[tuple[int, str], frozenset[int]] = field(default_factory=dict)
-    executed: set[int] = field(default_factory=set)
     events: int = 0
     updates: int = 0
     peak_cardinality: int = 0
@@ -88,16 +89,17 @@ class SliceState:
         # def update; at call nodes the defs were installed by on_return
         if kind != "Call":
             for d in ev.defs:
-                self._set_data(d, frozenset({u}) | use_union | ctrl | self.active_call)
+                self._put(self.active_data, d,
+                          frozenset({u}) | use_union | ctrl | self.active_call)
 
         # DyanSlice snapshot for everything this node touched
         for v in ev.defs + ev.uses:
-            self._set_dyn(u, v, self.active_data.get(v, EMPTY) | ctrl)
+            self._put(self.dyn_table, (u, v.display),
+                      self.active_data.get(v, EMPTY) | ctrl)
 
         if kind in ("Test", "TestLoop"):
-            self._set_control(u, frozenset({u}) | use_union | ctrl | self.active_call)
-
-        self.executed.add(u)
+            self._put(self.active_control, u,
+                      frozenset({u}) | use_union | ctrl | self.active_call)
         return self
 
     def on_call(self, ev: CallEntered) -> "SliceState":
@@ -111,7 +113,7 @@ class SliceState:
                 ads = EMPTY
                 for src in sources:
                     ads |= self.active_data.get(src, EMPTY)
-                self._set_data(f_var, ads | self.active_call)
+                self._put(self.active_data, f_var, ads | self.active_call)
         return self
 
     def on_return(self, ev: AboutToReturn | Returned) -> "SliceState":
@@ -127,17 +129,18 @@ class SliceState:
         u = ev.call_site
         # by-ref copy-back: the actual inherits the formal's slice exactly
         for f_var, a_var in ev.copy_backs:
-            self._set_data(a_var, self.active_data.get(f_var, EMPTY))
+            self._put(self.active_data, a_var, self.active_data.get(f_var, EMPTY))
         if ev.returned_into is not None:
-            self._set_data(ev.returned_into, self.active_return)
+            self._put(self.active_data, ev.returned_into, self.active_return)
         # snapshot the receiver's members so (call node, member) is a valid
         # criterion: the call is where those defs reached the caller
         ctrl = self._ctrl(u)
         for v in ev.receiver_members:
-            self._set_dyn(u, v, self.active_data.get(v, EMPTY) | ctrl)
+            self._put(self.dyn_table, (u, v.display),
+                      self.active_data.get(v, EMPTY) | ctrl)
         # callee locals die with the frame
         for v in ev.resets:
-            self._pop_data(v)
+            self._drop(self.active_data, v)
         restored = self.call_stack.pop()
         self._card -= len(restored)
         self._set_call(restored)
@@ -145,9 +148,7 @@ class SliceState:
         return self
 
     def on_loop_exit(self, ev: LoopExited) -> "SliceState":
-        old = self.active_control.pop(ev.id, None)
-        if old is not None:
-            self._card -= len(old)
+        self._drop(self.active_control, ev.id)
         return self
 
     # -- queries ----------------------------------------------------------------
@@ -199,22 +200,13 @@ class SliceState:
             return EMPTY
         return self.active_control.get(p, EMPTY)
 
-    def _set_data(self, rv: RuntimeVar, value: frozenset[int]) -> None:
-        old = self.active_data.get(rv, EMPTY)
-        self.active_data[rv] = value
-        self._card += len(value) - len(old)
+    def _put(self, store: dict, key, value: frozenset[int]) -> None:
+        self._card += len(value) - len(store.get(key, EMPTY))
+        store[key] = value
         self.updates += 1
 
-    def _pop_data(self, rv: RuntimeVar) -> None:
-        old = self.active_data.pop(rv, None)
-        if old is not None:
-            self._card -= len(old)
-
-    def _set_control(self, sid: int, value: frozenset[int]) -> None:
-        old = self.active_control.get(sid, EMPTY)
-        self.active_control[sid] = value
-        self._card += len(value) - len(old)
-        self.updates += 1
+    def _drop(self, store: dict, key) -> None:
+        self._card -= len(store.pop(key, EMPTY))
 
     def _set_call(self, value: frozenset[int]) -> None:
         self._card += len(value) - len(self.active_call)
@@ -223,13 +215,6 @@ class SliceState:
     def _set_return(self, value: frozenset[int]) -> None:
         self._card += len(value) - len(self.active_return)
         self.active_return = value
-
-    def _set_dyn(self, sid: int, rv: RuntimeVar, value: frozenset[int]) -> None:
-        key = (sid, rv.display)
-        old = self.dyn_table.get(key, EMPTY)
-        self.dyn_table[key] = value
-        self._card += len(value) - len(old)
-        self.updates += 1
 
 
 def init(cdg: Cdg) -> SliceState:

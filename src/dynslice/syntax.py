@@ -157,9 +157,6 @@ class VarDecl(Stmt):
     pos: Pos | None = field(default=None, repr=False, compare=False)
 
 
-EXECUTABLE = (Assign, Input, Output, Call, If, While, Return)
-
-
 # ---------------------------------------------------------------------------
 # Declarations
 # ---------------------------------------------------------------------------

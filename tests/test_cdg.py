@@ -114,7 +114,6 @@ def test_def_use_matches_node_sets(sample_program, sample_cdg):
 def test_main_variable_inventory(sample_cdg):
     assert sample_cdg.main_objects == {
         "T1": "test", "T2": "test", "T3": "test", "T4": "test"}
-    assert sample_cdg.main_ints == ("p", "q")
     assert sample_cdg.members == {"test": ("a", "b")}
 
 

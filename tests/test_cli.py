@@ -7,6 +7,7 @@ import pytest
 from dynslice import oracle
 from dynslice.cli import main
 from dynslice.fixtures import (
+    CALLS_SOURCE,
     CONST_LOOP_SOURCE,
     LOOP_SOURCE,
     SAMPLE_SOURCE,
@@ -139,6 +140,23 @@ def test_budget_flag(loop_path, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,env", [
+    (["--budget", "0"], None),
+    (["--budget", "-1"], None),
+    ([], "0"),
+], ids=["flag-zero", "flag-negative", "env-zero"])
+def test_budget_must_be_positive(loop_path, capsys, monkeypatch, flag, env):
+    if env is None:
+        monkeypatch.delenv("DYNSLICE_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("DYNSLICE_BUDGET", env)
+    rc = main(["slice", loop_path, "--inputs", "3", "--criterion", "6:s", *flag])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "step budget must be at least 1" in captured.err
+
+
 def test_budget_env(loop_path, capsys, monkeypatch):
     monkeypatch.setenv("DYNSLICE_BUDGET", "100")
     rc = main(["slice", loop_path, "--inputs", "9999", "--criterion", "6:s"])
@@ -226,6 +244,35 @@ def test_check_rejects_non_object_trace_line(sample_path, tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "line 2" in captured.err
+
+
+# records that no run of CALLS_SOURCE can produce; replaying any of them
+# must end in exit 2 with an empty stdout, not in a traceback
+_STMT = '{"event": "StmtExecuted", "id": %s, "defs": [%s], "uses": []}'
+_VAR_N = '{"kind": "local", "owner": %s, "name": "n", "display": "n"}'
+_RETURNED = ('{"event": "Returned", "call_site": 4, "copy_backs": [], "resets": [],'
+             ' "returned_into": null, "receiver_members": []}')
+
+
+@pytest.mark.parametrize("record,message", [
+    (_STMT % (1, _VAR_N % "[1]"), "malformed trace at line 1"),
+    (_STMT % ('"1"', _VAR_N % 1), "no node '1'"),
+    (_STMT % (99, ""), "no node 99"),
+    (_RETURNED, "without its CallEntered"),
+    (_STMT % (4, ""), "node 4 before its test 3"),
+    ('{"event": "LoopExited", "id": 2}', "LoopExited on non-loop node 2"),
+    ('{"event": "AboutToReturn", "id": 99, "uses": []}', "no node 99"),
+], ids=["owner-list", "id-string", "unknown-id", "lone-returned",
+        "before-test", "loop-exit-off-loop", "unknown-return"])
+def test_check_rejects_trace_of_another_program(tmp_path, capsys, record, message):
+    src = tmp_path / "calls.mini"
+    src.write_text(CALLS_SOURCE)
+    trace = tmp_path / "bad.ndjson"
+    trace.write_text(record + "\n")
+    assert main(["check", str(src), "--trace", str(trace)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_check_flags_corrupted_trace(tmp_path, capsys):

@@ -2,7 +2,15 @@ from __future__ import annotations
 
 import pytest
 
-from dynslice import load, parse_trace, run, serialize_trace
+from dynslice import (
+    DEFAULT_BUDGET,
+    build_cdg,
+    generate,
+    load,
+    parse_trace,
+    run,
+    serialize_trace,
+)
 from dynslice.events import (
     AboutToReturn,
     CallEntered,
@@ -12,8 +20,15 @@ from dynslice.events import (
     Returned,
     StmtExecuted,
     Warning,
+    validate_trace,
 )
-from dynslice.fixtures import BYREF_SOURCE, LOOP_SOURCE, SAMPLE_INPUTS, SAMPLE_SOURCE
+from dynslice.fixtures import (
+    BYREF_SOURCE,
+    CALLS_SOURCE,
+    LOOP_SOURCE,
+    SAMPLE_INPUTS,
+    SAMPLE_SOURCE,
+)
 
 
 def stmt_ids(events):
@@ -216,3 +231,24 @@ def test_parse_trace_rejects_garbage():
         parse_trace('{"event": "LoopExited", "id": 3}\n3\n')
     with pytest.raises(ValueError, match="line 1"):
         parse_trace("[1,2]\n")
+    # a variable's fields must have their types: an unhashable owner, a
+    # non-string name
+    var = '{"kind": "local", "owner": 1, "name": "n", "display": "n"}'
+    stmt = '{"event": "StmtExecuted", "id": 1, "defs": [%s], "uses": []}\n'
+    with pytest.raises(ValueError, match="line 2"):
+        parse_trace(stmt % var + stmt % var.replace('"owner": 1', '"owner": [1]'))
+    with pytest.raises(ValueError, match="line 1"):
+        parse_trace(stmt % var.replace('"name": "n"', '"name": 5'))
+
+
+def test_validate_trace_accepts_every_real_run():
+    cases = [(SAMPLE_SOURCE, SAMPLE_INPUTS, DEFAULT_BUDGET),
+             (LOOP_SOURCE, (3,), DEFAULT_BUDGET),
+             (BYREF_SOURCE, (7,), DEFAULT_BUDGET),
+             (CALLS_SOURCE, (5,), DEFAULT_BUDGET),
+             (CALLS_SOURCE, (5,), 20)]  # cut by the budget inside a call
+    cases += [(g.source, g.inputs, DEFAULT_BUDGET) for g in map(generate, range(200))]
+    for source, inputs, budget in cases:
+        program = load(source)
+        events = run(program, inputs, budget).events
+        validate_trace(events, build_cdg(program))

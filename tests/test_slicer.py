@@ -2,8 +2,15 @@ from __future__ import annotations
 
 import pytest
 
-from dynslice import build_cdg, init, load, run, slice_events
-from dynslice.fixtures import BYREF_SOURCE, CALLS_SOURCE, LOOP_SOURCE, STREAM_SOURCE
+from dynslice import build_cdg, generate, init, load, run, slice_events
+from dynslice.fixtures import (
+    BYREF_SOURCE,
+    CALLS_SOURCE,
+    LOOP_SOURCE,
+    SAMPLE_INPUTS,
+    SAMPLE_SOURCE,
+    STREAM_SOURCE,
+)
 from dynslice.slicer import CriterionError
 
 from walkthrough import OBJECT_SLICES, replay
@@ -12,7 +19,7 @@ from walkthrough import OBJECT_SLICES, replay
 def test_walkthrough_table():
     state, checked = replay()
     assert checked == 38  # pins the table size against silent shrinkage
-    assert state.executed == set(range(1, 25))
+    assert state.events == 64  # the replay fed the whole run
 
 
 def test_final_dyn_entries(sample_state):
@@ -119,9 +126,22 @@ def test_streaming_state_is_bounded():
     assert sizes[0] == sizes[1] == sizes[2]
 
 
-def test_cardinality_counter_matches_recount(sample_cdg, sample_run):
-    state = init(sample_cdg)
-    for ev in sample_run.events:
-        state.feed(ev)
-        assert state.recount() == state.cardinality()
-    assert state.peak_cardinality >= state.cardinality()
+def _cardinality_cases():
+    yield "sample", SAMPLE_SOURCE, SAMPLE_INPUTS
+    yield "loop", LOOP_SOURCE, (3,)  # the loop-exit drop
+    yield "byref", BYREF_SOURCE, (7,)  # copy-back
+    for seed in range(50):  # returned_into, object formals, resets
+        g = generate(seed)
+        yield f"seed {seed}", g.source, g.inputs
+
+
+def test_cardinality_counter_matches_recount():
+    for name, source, inputs in _cardinality_cases():
+        program = load(source)
+        state = init(build_cdg(program))
+        result = run(program, inputs)
+        assert result.ok, name
+        for ev in result.events:
+            state.feed(ev)
+            assert state.recount() == state.cardinality(), name
+        assert state.peak_cardinality >= state.cardinality(), name
