@@ -1,8 +1,13 @@
 """Lexer, parser, and semantic checker for the mini-OO language.
 
-`parse` turns source text into a numbered ``Program``; `check` validates it,
-annotates name bindings, and dispatches every call site through
-`resolve_overload`. `load` chains both.
+`tokenize` runs one regular expression whose alternatives are the token
+classes. Identifiers are a Unicode letter or ``_`` followed by letters, digits
+or ``_``; integer literals are decimal digits. `parse` turns the tokens into a
+numbered ``Program``, reading operators by precedence climbing over
+`syntax.PRECEDENCE`, the table the printer uses too, and rejects a program
+nested deeper than `MAX_NESTING`. `check` validates it, annotates name
+bindings, and dispatches every call site through `resolve_overload`. `load`
+chains both.
 
 Statement numbering: when any executable statement carries a ``#n:`` label,
 all of them must, and the labels must be exactly 1..stmt_count. Unlabeled
@@ -11,6 +16,8 @@ programs are auto-numbered in textual order.
 
 from __future__ import annotations
 
+import re
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .syntax import (
@@ -27,6 +34,7 @@ from .syntax import (
     Name,
     Output,
     Pos,
+    PRECEDENCE,
     Program,
     Return,
     Stmt,
@@ -69,10 +77,17 @@ class NoMatchError(CheckError):
 
 KEYWORDS = {"class", "public", "void", "int", "if", "else", "while", "return", "cin", "cout"}
 
-# longest first so maximal munch works
-_SYMBOLS = [">>", "<<", "<=", ">=", "==", "!=",
-            "{", "}", "(", ")", ";", ":", ",", ".", "#", "&",
-            "=", "<", ">", "+", "-", "*", "/"]
+# one alternative per token class; two-character symbols come first so
+# maximal munch works, and the last alternative catches everything else
+_TOKEN = re.compile(r"""
+    (?P<SKIP>[ \t\r]+|//[^\n]*)
+  | (?P<NEWLINE>\n)
+  | (?P<INT>\d+)
+  | (?P<IDENT>[^\W\d]\w*)
+  | (?P<STRING>"[^"\n]*")
+  | (?P<SYMBOL>>>|<<|<=|>=|==|!=|[{}();:,.#&=<>+\-*/])
+  | (?P<ERROR>.)
+""", re.VERBOSE)
 
 
 @dataclass(frozen=True)
@@ -84,57 +99,25 @@ class Token:
 
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(source)
-    while i < n:
-        c = source[i]
-        if c == "\n":
-            i, line, col = i + 1, line + 1, 1
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(source):
+        kind = m.lastgroup
+        if kind == "SKIP":
             continue
-        if c in " \t\r":
-            i, col = i + 1, col + 1
+        if kind == "NEWLINE":
+            line, line_start = line + 1, m.end()
             continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        pos = Pos(line, col)
-        if c.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            tokens.append(Token("INT", source[i:j], pos))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
-            tokens.append(Token(text if text in KEYWORDS else "IDENT", text, pos))
-            col += j - i
-            i = j
-            continue
-        if c == '"':
-            j = i + 1
-            while j < n and source[j] not in '"\n':
-                j += 1
-            if j >= n or source[j] != '"':
-                raise LexError("unterminated string literal", pos)
-            tokens.append(Token("STRING", source[i + 1 : j], pos))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        for sym in _SYMBOLS:
-            if source.startswith(sym, i):
-                tokens.append(Token(sym, sym, pos))
-                col += len(sym)
-                i += len(sym)
-                break
-        else:
-            raise LexError(f"unexpected character {c!r}", pos)
-    tokens.append(Token("EOF", "", Pos(line, col)))
+        text = m.group()
+        pos = Pos(line, m.start() - line_start + 1)
+        if kind == "ERROR":
+            raise LexError("unterminated string literal" if text == '"'
+                           else f"unexpected character {text!r}", pos)
+        if kind == "STRING":
+            text = text[1:-1]
+        elif kind == "SYMBOL" or text in KEYWORDS:
+            kind = text
+        tokens.append(Token(kind, text, pos))
+    tokens.append(Token("EOF", "", Pos(line, len(source) - line_start + 1)))
     return tokens
 
 
@@ -142,14 +125,30 @@ def tokenize(source: str) -> list[Token]:
 # Parser
 # ---------------------------------------------------------------------------
 
+# The deepest nesting a program may have: every enclosing block, every open
+# parenthesis and every operator read so far in the same full expression
+# counts one level. Past it, parse raises ParseError; up to it, no later pass
+# (check, build_cdg, pretty, run) recurses deep enough to exhaust the stack.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
 
     @property
     def cur(self) -> Token:
         return self.tokens[self.i]
+
+    def peek(self, k: int) -> Token:
+        return self.tokens[min(self.i + k, len(self.tokens) - 1)]
+
+    def nest(self, pos: Pos) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"program nested too deeply (limit {MAX_NESTING})", pos)
 
     def advance(self) -> Token:
         tok = self.cur
@@ -157,9 +156,7 @@ class _Parser:
         return tok
 
     def accept(self, kind: str) -> Token | None:
-        if self.cur.kind == kind:
-            return self.advance()
-        return None
+        return self.advance() if self.cur.kind == kind else None
 
     def expect(self, kind: str) -> Token:
         if self.cur.kind != kind:
@@ -186,11 +183,8 @@ class _Parser:
         name = self.expect("IDENT").text
         self.expect("{")
         members: list[str] = []
-        while self.cur.kind == "int":
-            self.advance()
-            members.append(self.expect("IDENT").text)
-            while self.accept(","):
-                members.append(self.expect("IDENT").text)
+        while self.accept("int"):
+            members += self.commas(self.ident)
             self.expect(";")
         self.expect("public")
         self.expect(":")
@@ -208,39 +202,45 @@ class _Parser:
         self.advance()
         name = self.expect("IDENT")
         self.expect("(")
-        formals: list[Formal] = []
-        if self.cur.kind != ")":
-            while True:
-                t = self.cur
-                if t.kind not in ("int", "IDENT"):
-                    raise ParseError("expected a parameter type", t.pos)
-                self.advance()
-                by_ref = self.accept("&") is not None
-                pname = self.expect("IDENT")
-                formals.append(Formal(pname.text, t.text, by_ref, pos=pname.pos))
-                if not self.accept(","):
-                    break
+        formals = self.commas(self.formal) if self.cur.kind != ")" else []
         self.expect(")")
-        body = self.block()
         return MethodDef(name=name.text, return_type=rt.text, formals=formals,
-                         body=body, pos=rt.pos, cls=cls)
+                         body=self.block(), pos=rt.pos, cls=cls)
+
+    def formal(self) -> Formal:
+        t = self.cur
+        if t.kind not in ("int", "IDENT"):
+            raise ParseError("expected a parameter type", t.pos)
+        self.advance()
+        by_ref = self.accept("&") is not None
+        pname = self.expect("IDENT")
+        return Formal(pname.text, t.text, by_ref, pos=pname.pos)
+
+    def commas(self, item: Callable[[], object]) -> list:
+        """item (',' item)*"""
+        items = [item()]
+        while self.accept(","):
+            items.append(item())
+        return items
+
+    def ident(self) -> str:
+        return self.expect("IDENT").text
 
     def block(self) -> list[Stmt]:
-        self.expect("{")
+        self.nest(self.expect("{").pos)
         body: list[Stmt] = []
         while self.cur.kind != "}":
             body.append(self.stmt())
         self.expect("}")
+        self.depth -= 1
         return body
 
     def stmt(self) -> Stmt:
+        pos = self.cur.pos
         label = None
-        if self.cur.kind == "#":
-            pos = self.advance().pos
+        if self.accept("#"):
             label = int(self.expect("INT").text)
             self.expect(":")
-        else:
-            pos = self.cur.pos
         s = self._bare_stmt()
         if label is not None:
             if isinstance(s, VarDecl):
@@ -251,26 +251,10 @@ class _Parser:
 
     def _bare_stmt(self) -> Stmt:
         kind = self.cur.kind
-        if kind == "cin":
-            self.advance()
-            self.expect(">>")
-            target = self.lvalue()
-            self.expect(";")
-            return Input(target=target)
-        if kind == "cout":
-            self.advance()
-            self.expect("<<")
-            if self.cur.kind == "STRING":
-                tok = self.advance()
-                value: Expr = StrLit(tok.text, pos=tok.pos)
-            else:
-                value = self.expr()
-            self.expect(";")
-            return Output(value=value)
         if kind == "if":
             self.advance()
             self.expect("(")
-            cond = self.expr()
+            cond = self.full_expr()
             self.expect(")")
             then_body = self.block()
             else_body = self.block() if self.accept("else") else []
@@ -278,99 +262,86 @@ class _Parser:
         if kind == "while":
             self.advance()
             self.expect("(")
-            cond = self.expr()
+            cond = self.full_expr()
             self.expect(")")
             return While(cond=cond, body=self.block())
-        if kind == "return":
+        # every other statement ends with ';'
+        if kind in ("int", "IDENT") and self.peek(1).kind == "IDENT":
+            s: Stmt = VarDecl(decl_type=self.advance().text, names=self.commas(self.ident))
+        elif kind == "cin":
             self.advance()
-            value = None if self.cur.kind == ";" else self.expr()
-            self.expect(";")
-            return Return(value=value)
-        if kind in ("int", "IDENT") and self.tokens[self.i + 1].kind == "IDENT":
-            decl_type = self.advance().text
-            names = [self.expect("IDENT").text]
-            while self.accept(","):
-                names.append(self.expect("IDENT").text)
-            self.expect(";")
-            return VarDecl(decl_type=decl_type, names=names)
-        if kind == "IDENT":
-            first = self.lvalue()
-            if self.accept("="):
-                # either plain assignment or call-assignment
-                if (
-                    self.cur.kind == "IDENT"
-                    and self.tokens[self.i + 1].kind == "."
-                    and self.tokens[self.i + 3].kind == "("
-                ):
-                    call = self._call_tail()
-                    call.assign_to = first
-                    self.expect(";")
-                    return call
-                value = self.expr()
-                self.expect(";")
-                return Assign(target=first, value=value)
-            if first.member is not None and self.cur.kind == "(":
-                call = Call(receiver=Name(first.base, pos=first.pos),
-                            method=first.member, args=self._args())
-                self.expect(";")
-                return call
-            raise ParseError("expected '=' or a method call", self.cur.pos)
-        raise ParseError(f"unexpected token {self.cur.text!r}", self.cur.pos)
+            self.expect(">>")
+            s = Input(target=self.lvalue())
+        elif kind == "cout":
+            self.advance()
+            self.expect("<<")
+            if self.cur.kind == "STRING":
+                tok = self.advance()
+                s = Output(value=StrLit(tok.text, pos=tok.pos))
+            else:
+                s = Output(value=self.full_expr())
+        elif kind == "return":
+            self.advance()
+            s = Return(value=None if self.cur.kind == ";" else self.full_expr())
+        elif kind == "IDENT":
+            s = self.assign_or_call()
+        else:
+            raise ParseError(f"unexpected token {self.cur.text!r}", self.cur.pos)
+        self.expect(";")
+        return s
 
-    def _call_tail(self) -> Call:
-        recv = self.expect("IDENT")
-        self.expect(".")
-        method = self.expect("IDENT").text
-        return Call(receiver=Name(recv.text, pos=recv.pos), method=method, args=self._args())
+    def assign_or_call(self) -> Stmt:
+        first = self.lvalue()
+        if self.accept("="):
+            # recv.method( after '=' makes a call-assignment
+            if (self.cur.kind == "IDENT" and self.peek(1).kind == "."
+                    and self.peek(3).kind == "("):
+                return self.call(self.lvalue(), assign_to=first)
+            return Assign(target=first, value=self.full_expr())
+        if first.member is not None and self.cur.kind == "(":
+            return self.call(first)
+        raise ParseError("expected '=' or a method call", self.cur.pos)
 
-    def _args(self) -> list[Expr]:
+    def call(self, callee: Name, assign_to: Name | None = None) -> Call:
+        """A call of `callee`, read as ``recv.method``, and its argument list."""
         self.expect("(")
-        args: list[Expr] = []
-        if self.cur.kind != ")":
-            args.append(self.expr())
-            while self.accept(","):
-                args.append(self.expr())
+        args = self.commas(self.full_expr) if self.cur.kind != ")" else []
         self.expect(")")
-        return args
+        return Call(receiver=Name(callee.base, pos=callee.pos), method=callee.member,
+                    args=args, assign_to=assign_to)
 
     def lvalue(self) -> Name:
         base = self.expect("IDENT")
-        member = None
-        if self.accept("."):
-            member = self.expect("IDENT").text
+        member = self.ident() if self.accept(".") else None
         return Name(base.text, member, pos=base.pos)
 
-    # expr := additive (relop additive)?
-    def expr(self) -> Expr:
-        left = self.additive()
-        if self.cur.kind in ("<", ">", "<=", ">=", "==", "!="):
+    def full_expr(self) -> Expr:
+        """An expression whose parentheses and operators nest only within it."""
+        depth = self.depth
+        e = self.expr()
+        self.depth = depth
+        return e
+
+    # expr := primary (op expr)*, by precedence climbing over PRECEDENCE
+    def expr(self, min_prec: int = 1) -> Expr:
+        left = self.primary()
+        while (prec := PRECEDENCE.get(self.cur.kind, 0)) >= min_prec:
             op = self.advance()
-            right = self.additive()
-            return BinOp(op.kind, left, right, pos=op.pos)
+            self.nest(op.pos)
+            left = BinOp(op.kind, left, self.expr(prec + 1), pos=op.pos)
+            if prec == PRECEDENCE["<"]:
+                break  # relational operators do not chain
         return left
 
-    def additive(self) -> Expr:
-        left = self.term()
-        while self.cur.kind in ("+", "-"):
-            op = self.advance()
-            left = BinOp(op.kind, left, self.term(), pos=op.pos)
-        return left
-
-    def term(self) -> Expr:
-        left = self.factor()
-        while self.cur.kind in ("*", "/"):
-            op = self.advance()
-            left = BinOp(op.kind, left, self.factor(), pos=op.pos)
-        return left
-
-    def factor(self) -> Expr:
+    def primary(self) -> Expr:
         if self.cur.kind == "INT":
             tok = self.advance()
             return IntLit(int(tok.text), pos=tok.pos)
         if self.cur.kind == "(":
-            self.advance()
+            self.nest(self.advance().pos)
             e = self.expr()
             self.expect(")")
+            self.depth -= 1
             return e
         if self.cur.kind == "IDENT":
             return self.lvalue()
@@ -548,52 +519,38 @@ def _check_block(body: list[Stmt], scope: _Scope, method: MethodDef | None) -> N
                     raise CheckError(
                         f"returning a value from a {method.return_type} method", s.pos)
                 _check_int_expr(s.value, scope)
-        else:
-            raise CheckError(f"unsupported statement {s!r}", s.pos)
 
 
-def _check_int_lvalue(name: Name, scope: _Scope, what: str) -> None:
-    t = scope.bind(name)
-    if t != "int":
-        raise CheckError(f"{what} must be an int variable, not object {name.base!r}", name.pos)
-
-
-def _check_int_expr(e: Expr, scope: _Scope) -> None:
-    if isinstance(e, IntLit):
-        return
-    if isinstance(e, StrLit):
-        raise CheckError("string literal outside cout", e.pos)
-    if isinstance(e, Name):
-        if scope.bind(e) != "int":
-            raise CheckError(f"object {e.base!r} used as an int value", e.pos)
-        return
-    if isinstance(e, BinOp):
-        _check_int_expr(e.left, scope)
-        _check_int_expr(e.right, scope)
-        return
-    raise CheckError(f"unsupported expression {e!r}", getattr(e, "pos", None))
-
-
-def _static_type(e: Expr, scope: _Scope) -> str:
-    """Type tag of an actual argument (the overload dispatch key)."""
-    if isinstance(e, IntLit):
-        return "int"
+def _type_of(e: Expr, scope: _Scope) -> str:
+    """Bind every name in an expression; return its type tag."""
     if isinstance(e, Name):
         return scope.bind(e)
     if isinstance(e, BinOp):
-        _check_int_expr(e, scope)
-        return "int"
-    raise CheckError("invalid actual argument", getattr(e, "pos", None))
+        _check_int_expr(e.left, scope)
+        _check_int_expr(e.right, scope)
+    elif isinstance(e, StrLit):
+        raise CheckError("string literal outside cout", e.pos)
+    return "int"
+
+
+def _check_int_expr(e: Expr, scope: _Scope) -> None:
+    if _type_of(e, scope) != "int":
+        raise CheckError(f"object {e.base!r} used as an int value", e.pos)
+
+
+def _check_int_lvalue(name: Name, scope: _Scope, what: str) -> None:
+    if _type_of(name, scope) != "int":
+        raise CheckError(f"{what} must be an int variable, not object {name.base!r}", name.pos)
 
 
 def _check_call(s: Call, scope: _Scope) -> None:
     if s.receiver.member is not None:
         raise CheckError("call receiver must be a plain object variable", s.receiver.pos)
-    recv_type = scope.bind(s.receiver)
+    recv_type = _type_of(s.receiver, scope)
     if recv_type == "int":
         raise CheckError(f"{s.receiver.base!r} is an int, not an object", s.receiver.pos)
     cls = scope.program.class_named(recv_type)
-    actual_types = tuple(_static_type(a, scope) for a in s.args)
+    actual_types = tuple(_type_of(a, scope) for a in s.args)
     m = resolve_overload(cls, s.method, actual_types, s.pos)
     s.resolved = m
     s.receiver_cls = cls.name
@@ -602,7 +559,7 @@ def _check_call(s: Call, scope: _Scope) -> None:
             if not isinstance(a, Name):
                 raise CheckError(
                     f"actual for by-reference parameter {f.name!r} must be a variable",
-                    getattr(a, "pos", s.pos))
+                    a.pos)
             if f.type != "int" and a.member is not None:
                 raise CheckError(
                     f"actual for by-reference object parameter {f.name!r} must be an object",

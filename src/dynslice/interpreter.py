@@ -68,6 +68,11 @@ from .syntax import (
 
 DEFAULT_BUDGET = 100000
 
+# The most blocks a run may have open at once, method bodies included; a
+# statement about to run deeper ends it with status "stack-overflow". Counted,
+# so where a run stops does not depend on the caller's Python stack.
+MAX_DEPTH = 250
+
 _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
         "<": operator.lt, ">": operator.gt, "<=": operator.le,
         ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
@@ -113,7 +118,7 @@ class Frame:
 class RunResult:
     events: list[ExecEvent]
     outputs: list[int | str]
-    status: str  # "ok", "input-exhausted", "div-by-zero", "budget-exceeded"
+    status: str  # "ok", "input-exhausted", "div-by-zero", "budget-exceeded", "stack-overflow"
     message: str = ""
 
     @property
@@ -154,6 +159,7 @@ class _Interp:
         self.next_input = 0
         self.budget = budget
         self.steps = 0
+        self.depth = 0  # blocks open
         self.emit = emit
         self.outputs: list[int | str] = []
         self.next_serial = 0
@@ -228,15 +234,22 @@ class _Interp:
         if self.steps > self.budget:
             raise RunInterrupt("budget-exceeded",
                                f"step budget {self.budget} exceeded at node {s.id}")
+        if self.depth > MAX_DEPTH:
+            raise RunInterrupt("stack-overflow", f"stack overflow: more than "
+                               f"{MAX_DEPTH} nested blocks at node {s.id}")
 
     def stmt_event(self, s: Stmt, defs: list[RuntimeVar],
                    uses: list[RuntimeVar]) -> None:
         self.emit(StmtExecuted(s.id, _ordered(set(defs)), _ordered(set(uses))))
 
     def exec_block(self, body: list[Stmt], frame: Frame) -> None:
-        for s in body:
-            if not isinstance(s, VarDecl):
-                self.exec_stmt(s, frame)
+        self.depth += 1
+        try:
+            for s in body:
+                if not isinstance(s, VarDecl):
+                    self.exec_stmt(s, frame)
+        finally:
+            self.depth -= 1
 
     def exec_stmt(self, s: Stmt, frame: Frame) -> None:
         self.charge(s)

@@ -245,7 +245,9 @@ def walk(body: list[Stmt]):
 # Pretty printer
 # ---------------------------------------------------------------------------
 
-_PRECEDENCE = {
+# Binding strength of the binary operators, read by the parser and the printer.
+# All are left-associative, except that relational operators do not chain.
+PRECEDENCE = {
     "==": 1, "!=": 1, "<": 1, ">": 1, "<=": 1, ">=": 1,
     "+": 2, "-": 2,
     "*": 3, "/": 3,
@@ -260,8 +262,9 @@ def expr_text(e: Expr, parent_prec: int = 0) -> str:
     if isinstance(e, Name):
         return e.display()
     if isinstance(e, BinOp):
-        prec = _PRECEDENCE[e.op]
-        text = f"{expr_text(e.left, prec)} {e.op} {expr_text(e.right, prec + 1)}"
+        prec = PRECEDENCE[e.op]
+        left = expr_text(e.left, prec + 1 if prec == PRECEDENCE["<"] else prec)
+        text = f"{left} {e.op} {expr_text(e.right, prec + 1)}"
         return f"({text})" if prec < parent_prec else text
     raise TypeError(f"unknown expression node {e!r}")
 

@@ -122,6 +122,19 @@ def test_parse_error_exits_2(tmp_path, capsys):
     assert "expected ';'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text,message", [
+    ("void main() { int x; x = a.", "expected 'IDENT', found ''"),
+    ("void main() { int x; x = a.b", "expected ';', found ''"),
+], ids=["dot", "member"])
+def test_parse_error_at_end_of_file_exits_2(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.mini"
+    bad.write_text(text)
+    assert main(["cdg", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     assert main(["slice", str(tmp_path / "nope.mini"),
                  "--criterion", "1:x"]) == 2

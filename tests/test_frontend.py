@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import hashlib
 import re
 
 import pytest
 
-from dynslice import load, parse, pretty, resolve_overload
+from dynslice import generate, load, parse, pretty, resolve_overload
 from dynslice.frontend import (
     CheckError,
     LexError,
@@ -12,8 +13,19 @@ from dynslice.frontend import (
     ParseError,
     tokenize,
 )
-from dynslice.fixtures import BYREF_SOURCE, LOOP_SOURCE, SAMPLE_SOURCE
-from dynslice.syntax import Call, walk
+from dynslice.fixtures import (
+    BYREF_SOURCE,
+    CALLS_SOURCE,
+    CONST_LOOP_SOURCE,
+    LOOP_SOURCE,
+    SAMPLE_SOURCE,
+    STREAM_SOURCE,
+)
+from dynslice.syntax import BinOp, Call, Name, walk
+
+# sha256 of (kind, text, line, col) for every token of the fixture sources
+# and of generator seeds 0..199, recorded before the lexer became one regex
+TOKEN_DIGEST = "f560f4f498bd563802abca6c359c30d69ff5987e4a543b7e82d3c490d8a65211"
 
 
 def test_sample_shape(sample_program):
@@ -75,6 +87,39 @@ def test_tokenize_maximal_munch():
     assert kinds == ["cin", ">>", "IDENT", ">", "IDENT", "EOF"]
 
 
+def test_token_stream_digest():
+    sources = [SAMPLE_SOURCE, LOOP_SOURCE, STREAM_SOURCE, CALLS_SOURCE,
+               CONST_LOOP_SOURCE, BYREF_SOURCE]
+    sources += [generate(seed).source for seed in range(200)]
+    digest = hashlib.sha256()
+    for source in sources:
+        for t in tokenize(source):
+            digest.update(repr((t.kind, t.text, t.pos.line, t.pos.col)).encode())
+    assert digest.hexdigest() == TOKEN_DIGEST
+
+
+A, B, C = Name("a"), Name("b"), Name("c")
+
+
+@pytest.mark.parametrize("text,tree", [
+    ("a - b - c", BinOp("-", BinOp("-", A, B), C)),
+    ("a / b * c", BinOp("*", BinOp("/", A, B), C)),
+    ("a + b * c", BinOp("+", A, BinOp("*", B, C))),
+    ("a * (b - c)", BinOp("*", A, BinOp("-", B, C))),
+    ("a + b < c", BinOp("<", BinOp("+", A, B), C)),
+    ("(a < b) < c", BinOp("<", BinOp("<", A, B), C)),
+])
+def test_expression_shape(text, tree):
+    program = load(f"void main() {{ int a, b, c, x; x = {text}; }}")
+    assert program.main[1].value == tree
+    assert parse(pretty(program)) == program
+
+
+def test_relational_operators_do_not_chain():
+    with pytest.raises(ParseError, match="expected ';', found '<'"):
+        parse("void main() { int a, b, c, x; x = a < b < c; }")
+
+
 def test_pretty_round_trip(sample_program):
     again = parse(pretty(sample_program))
     assert again == parse(SAMPLE_SOURCE)
@@ -84,6 +129,12 @@ def test_pretty_round_trip(sample_program):
 @pytest.mark.parametrize("source", [LOOP_SOURCE, BYREF_SOURCE])
 def test_pretty_round_trip_fixtures(source):
     assert parse(pretty(load(source))) == parse(source)
+
+
+def test_pretty_round_trip_generated():
+    for seed in range(200):
+        source = generate(seed).source
+        assert parse(pretty(load(source))) == parse(source), seed
 
 
 def test_undeclared_variable():
