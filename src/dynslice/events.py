@@ -124,41 +124,50 @@ class Warning(ExecEvent):
 # JSON trace round-trip
 # ---------------------------------------------------------------------------
 
-def _rv_from(d: dict) -> RuntimeVar:
-    rv = RuntimeVar(d["kind"], d["owner"], d["name"], d["display"])
-    if (rv.kind not in ("local", "member") or type(rv.owner) is not int
-            or type(rv.name) is not str or type(rv.display) is not str):
+def _rv_from(d: dict, interned: dict) -> RuntimeVar:
+    """The var a record names: checked first, since its fields become a key,
+    then the one RuntimeVar `interned` holds for those fields."""
+    key = (d["kind"], d["owner"], d["name"], d["display"])
+    if (key[0] not in ("local", "member") or type(key[1]) is not int
+            or type(key[2]) is not str or type(key[3]) is not str):
         raise ValueError(f"malformed variable: {d!r}")
+    rv = interned.get(key)
+    if rv is None:
+        rv = interned[key] = RuntimeVar(*key)
     return rv
 
 
-def _rvs_from(items) -> tuple[RuntimeVar, ...]:
-    return tuple(_rv_from(d) for d in items)
+def _rvs_from(items, interned: dict) -> tuple[RuntimeVar, ...]:
+    return tuple(_rv_from(d, interned) for d in items)
 
 
-def from_json(d: dict) -> ExecEvent:
+def from_json(d: dict, interned: dict) -> ExecEvent:
+    """The event a decoded line holds. Vars are shared through `interned`,
+    (kind, owner, name, display) -> RuntimeVar, as the interpreter shares them."""
     kind = d.get("event") if isinstance(d, dict) else None
     if kind == "StmtExecuted":
-        return StmtExecuted(d["id"], _rvs_from(d["defs"]), _rvs_from(d["uses"]))
+        return StmtExecuted(d["id"], _rvs_from(d["defs"], interned),
+                            _rvs_from(d["uses"], interned))
     if kind == "CallEntered":
         callee = Callee(d["callee"]["cls"], d["callee"]["name"],
                         tuple(d["callee"]["param_types"]))
         bindings = tuple(
             Binding(b["formal"], b["by_ref"], b["kind"],
-                    tuple((_rv_from(f), tuple(_rv_from(s) for s in srcs))
+                    tuple((_rv_from(f, interned), _rvs_from(srcs, interned))
                           for f, srcs in b["transfers"]))
             for b in d["bindings"]
         )
         return CallEntered(d["call_site"], callee, bindings)
     if kind == "AboutToReturn":
-        return AboutToReturn(d["id"], _rvs_from(d["uses"]))
+        return AboutToReturn(d["id"], _rvs_from(d["uses"], interned))
     if kind == "Returned":
         return Returned(
             d["call_site"],
-            tuple((_rv_from(f), _rv_from(a)) for f, a in d["copy_backs"]),
-            _rvs_from(d["resets"]),
-            _rv_from(d["returned_into"]) if d["returned_into"] else None,
-            _rvs_from(d["receiver_members"]),
+            tuple((_rv_from(f, interned), _rv_from(a, interned))
+                  for f, a in d["copy_backs"]),
+            _rvs_from(d["resets"], interned),
+            _rv_from(d["returned_into"], interned) if d["returned_into"] else None,
+            _rvs_from(d["receiver_members"], interned),
         )
     if kind == "LoopExited":
         return LoopExited(d["id"])
@@ -182,12 +191,14 @@ def serialize_trace(events) -> str:
 
 
 def parse_trace(text: str) -> list[ExecEvent]:
+    """The events of a trace, with one RuntimeVar per location as in a run."""
     events = []
+    interned: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            events.append(from_json(json.loads(line)))
+            events.append(from_json(json.loads(line), interned))
         except (ValueError, KeyError, TypeError) as exc:
             raise ValueError(f"malformed trace at line {lineno}: {exc}") from exc
     return events

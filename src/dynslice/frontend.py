@@ -5,7 +5,8 @@ classes. Identifiers are a Unicode letter or ``_`` followed by letters, digits
 or ``_``; integer literals are decimal digits. `parse` turns the tokens into a
 numbered ``Program``, reading operators by precedence climbing over
 `syntax.PRECEDENCE`, the table the printer uses too, and rejects a program
-nested deeper than `MAX_NESTING`. `check` validates it, annotates name
+nested deeper than `MAX_NESTING` or with a literal or label longer than
+Python converts to an int. `check` validates it, annotates name
 bindings, and dispatches every call site through `resolve_overload`. `load`
 chains both.
 
@@ -163,6 +164,16 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {self.cur.text!r}", self.cur.pos)
         return self.advance()
 
+    def integer(self) -> int:
+        """Value of the INT token at the cursor. One longer than Python's limit
+        for converting digits to an int is a ParseError, not a ValueError."""
+        tok = self.expect("INT")
+        try:
+            return int(tok.text)
+        except ValueError:
+            raise ParseError(f"integer literal too long: {len(tok.text)} digits",
+                             tok.pos) from None
+
     # program := classdef* "void" "main" "(" ")" block
     def program(self) -> Program:
         classes = []
@@ -239,7 +250,7 @@ class _Parser:
         pos = self.cur.pos
         label = None
         if self.accept("#"):
-            label = int(self.expect("INT").text)
+            label = self.integer()
             self.expect(":")
         s = self._bare_stmt()
         if label is not None:
@@ -335,8 +346,8 @@ class _Parser:
 
     def primary(self) -> Expr:
         if self.cur.kind == "INT":
-            tok = self.advance()
-            return IntLit(int(tok.text), pos=tok.pos)
+            pos = self.cur.pos
+            return IntLit(self.integer(), pos=pos)
         if self.cur.kind == "(":
             self.nest(self.advance().pos)
             e = self.expr()

@@ -17,6 +17,12 @@ Each expression is walked once: `eval` computes its value and collects the
 variables it reads, in read order, as the statement's uses. `locate` is the
 one place that maps a bound name to its storage and RuntimeVar.
 
+There is one RuntimeVar per storage location per run: a frame makes its int
+locals' vars when it is created (int formals when they are bound), an object
+its members' vars, and every event names those same objects. Equal vars in
+one run are therefore identical, so the slicer's and the oracle's dicts keyed
+by them match on identity, and no var is built per read.
+
 Event order around a call: CallEntered, the callee's events, AboutToReturn
 just before an executed return node, Returned (copy-backs, resets), and only
 then the call site's own StmtExecuted. Loop tests emit StmtExecuted per
@@ -31,7 +37,7 @@ is then an empty list, so no trace-sized structure is kept.
 from __future__ import annotations
 
 import operator
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .events import (
@@ -95,13 +101,9 @@ class _ReturnSignal(Exception):
 
 @dataclass
 class ObjectVal:
-    cls: str
     oid: int
-    var_name: str
+    vars: dict[str, RuntimeVar]  # member -> its var, in declaration order
     members: dict[str, int] = field(default_factory=dict)  # absent = uninitialized
-
-    def member_var(self, member: str) -> RuntimeVar:
-        return RuntimeVar("member", self.oid, member, f"{self.var_name}.{member}")
 
 
 @dataclass
@@ -109,9 +111,13 @@ class Frame:
     serial: int
     receiver: ObjectVal | None = None
     locals: dict[str, "int | ObjectVal | None"] = field(default_factory=dict)
+    vars: dict[str, RuntimeVar] = field(default_factory=dict)  # int local -> its var
 
-    def local_var(self, name: str) -> RuntimeVar:
-        return RuntimeVar("local", self.serial, name, name)
+    def bind(self, name: str, value: int | None) -> RuntimeVar:
+        """Make the int local `name` with `value`; return its RuntimeVar."""
+        self.locals[name] = value
+        var = self.vars[name] = RuntimeVar("local", self.serial, name, name)
+        return var
 
 
 @dataclass
@@ -154,7 +160,6 @@ def run(program: Program, inputs: list[int] | tuple[int, ...] = (),
 class _Interp:
     def __init__(self, program: Program, inputs: list[int], budget: int,
                  emit: Callable[[ExecEvent], object]):
-        self.program = program
         self.inputs = inputs
         self.next_input = 0
         self.budget = budget
@@ -164,6 +169,7 @@ class _Interp:
         self.outputs: list[int | str] = []
         self.next_serial = 0
         self.next_oid = 0
+        self.members = {c.name: c.members for c in program.classes}
 
     def new_frame(self, receiver: ObjectVal | None, body: list[Stmt]) -> Frame:
         self.next_serial += 1
@@ -172,28 +178,30 @@ class _Interp:
         for s in _decls(body):
             for name in s.names:
                 if s.decl_type == "int":
-                    frame.locals[name] = None
+                    frame.bind(name, None)
                 else:
                     frame.locals[name] = self.new_object(s.decl_type, name)
         return frame
 
     def new_object(self, cls: str, var_name: str) -> ObjectVal:
         self.next_oid += 1
-        return ObjectVal(cls, self.next_oid, var_name)
+        oid = self.next_oid
+        return ObjectVal(oid, {m: RuntimeVar("member", oid, m, f"{var_name}.{m}")
+                               for m in self.members[cls]})
 
     # -- reads, writes and evaluation ----------------------------------------
 
     def locate(self, name: Name, frame: Frame) -> tuple[dict, str, RuntimeVar]:
         """Storage dict, key and RuntimeVar of a bound int-valued Name."""
         if name.binding == "int_local":
-            return frame.locals, name.base, frame.local_var(name.base)
+            return frame.locals, name.base, frame.vars[name.base]
         if name.binding == "recv_member":
             obj, member = frame.receiver, name.base
         elif name.binding == "obj_member":
             obj, member = frame.locals[name.base], name.member
         else:
             raise ValueError(f"object {name.base!r} read as a value")
-        return obj.members, member, obj.member_var(member)
+        return obj.members, member, obj.vars[member]
 
     def write(self, name: Name, frame: Frame, value: int) -> RuntimeVar:
         store, key, var = self.locate(name, frame)
@@ -238,9 +246,9 @@ class _Interp:
             raise RunInterrupt("stack-overflow", f"stack overflow: more than "
                                f"{MAX_DEPTH} nested blocks at node {s.id}")
 
-    def stmt_event(self, s: Stmt, defs: list[RuntimeVar],
+    def stmt_event(self, s: Stmt, defs: tuple[RuntimeVar, ...],
                    uses: list[RuntimeVar]) -> None:
-        self.emit(StmtExecuted(s.id, _ordered(set(defs)), _ordered(set(uses))))
+        self.emit(StmtExecuted(s.id, defs, _ordered(uses)))
 
     def exec_block(self, body: list[Stmt], frame: Frame) -> None:
         self.depth += 1
@@ -256,7 +264,7 @@ class _Interp:
         uses: list[RuntimeVar] = []
         if isinstance(s, Assign):
             value = self.eval(s.value, frame, s.id, uses)
-            self.stmt_event(s, [self.write(s.target, frame, value)], uses)
+            self.stmt_event(s, (self.write(s.target, frame, value),), uses)
         elif isinstance(s, Input):
             if self.next_input >= len(self.inputs):
                 raise RunInterrupt("input-exhausted",
@@ -264,7 +272,7 @@ class _Interp:
             value = self.inputs[self.next_input]
             self.next_input += 1
             self.emit(InputConsumed(s.id, value))
-            self.stmt_event(s, [self.write(s.target, frame, value)], uses)
+            self.stmt_event(s, (self.write(s.target, frame, value),), uses)
         elif isinstance(s, Output):
             if isinstance(s.value, StrLit):
                 value: int | str = s.value.value
@@ -272,17 +280,17 @@ class _Interp:
                 value = self.eval(s.value, frame, s.id, uses)
             self.outputs.append(value)
             self.emit(OutputProduced(s.id, value))
-            self.stmt_event(s, [], uses)
+            self.stmt_event(s, (), uses)
         elif isinstance(s, If):
             taken = self.eval(s.cond, frame, s.id, uses) != 0
-            self.stmt_event(s, [], uses)
+            self.stmt_event(s, (), uses)
             self.exec_block(s.then_body if taken else s.else_body, frame)
         elif isinstance(s, While):
             # entry charge covers the first condition evaluation
             while True:
                 uses = []
                 alive = self.eval(s.cond, frame, s.id, uses) != 0
-                self.stmt_event(s, [], uses)
+                self.stmt_event(s, (), uses)
                 if not alive:
                     self.emit(LoopExited(s.id))
                     break
@@ -290,8 +298,8 @@ class _Interp:
                 self.charge(s)
         elif isinstance(s, Return):
             value = None if s.value is None else self.eval(s.value, frame, s.id, uses)
-            self.emit(AboutToReturn(s.id, _ordered(set(uses))))
-            self.stmt_event(s, [], uses)
+            self.emit(AboutToReturn(s.id, _ordered(uses)))
+            self.stmt_event(s, (), uses)
             raise _ReturnSignal(value)
         elif isinstance(s, Call):
             self.exec_call(s, frame)
@@ -312,9 +320,8 @@ class _Interp:
         for f, a in zip(method.formals, s.args):
             if f.type == "int":
                 arg_vars: list[RuntimeVar] = []
-                callee.locals[f.name] = self.eval(a, frame, s.id, arg_vars)
+                f_var = callee.bind(f.name, self.eval(a, frame, s.id, arg_vars))
                 uses.extend(arg_vars)
-                f_var = callee.local_var(f.name)
                 kind = "literal" if not arg_vars else "var"
                 bindings.append(Binding(f.name, f.by_ref, kind,
                                         ((f_var, tuple(arg_vars)),)))
@@ -327,9 +334,8 @@ class _Interp:
                 copy = self.new_object(f.type, f.name)
                 copy.members = dict(actual_obj.members)
                 callee.locals[f.name] = copy
-                members = self.program.class_named(f.type).members
-                transfers = tuple(
-                    (copy.member_var(m), (actual_obj.member_var(m),)) for m in members)
+                transfers = tuple((f_var, (actual_obj.vars[m],))
+                                  for m, f_var in copy.vars.items())
                 uses.extend(src for _, (src,) in transfers)
                 bindings.append(Binding(f.name, f.by_ref, "object", transfers))
                 if f.by_ref:
@@ -364,20 +370,23 @@ class _Interp:
         resets: list[RuntimeVar] = []
         for name, value in callee.locals.items():
             if isinstance(value, ObjectVal):
-                members = self.program.class_named(value.cls).members
-                resets.extend(value.member_var(m) for m in members)
+                resets.extend(value.vars.values())
             else:
-                resets.append(callee.local_var(name))
-        recv_members = map(receiver.member_var,
-                           self.program.class_named(receiver.cls).members)
+                resets.append(callee.vars[name])
 
         self.emit(Returned(s.id, tuple(copy_backs), _ordered(resets), returned_into,
-                           _ordered(recv_members)))
-        self.stmt_event(s, [returned_into] if returned_into else [], uses)
+                           _ordered(list(receiver.vars.values()))))
+        self.stmt_event(s, (returned_into,) if returned_into else (), uses)
 
 
-def _ordered(vs: Iterable[RuntimeVar]) -> tuple[RuntimeVar, ...]:
-    return tuple(sorted(vs, key=RuntimeVar.sort_key))
+def _ordered(vs: list[RuntimeVar]) -> tuple[RuntimeVar, ...]:
+    """The distinct vars of `vs` by RuntimeVar.sort_key. Vars are interned, so
+    equal vars are the same object and identity de-duplicates them."""
+    if len(vs) > 1:
+        vs = {id(v): v for v in vs}.values()
+        if len(vs) > 1:
+            return tuple(sorted(vs, key=RuntimeVar.sort_key))
+    return tuple(vs)
 
 
 def _decls(body: list[Stmt]):

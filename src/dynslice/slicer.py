@@ -12,9 +12,13 @@ how long the run is, calls in loops included; `peak_cardinality` makes that
 measurable. Feed events one at a time (`feed` as `interpreter.run`'s sink)
 or replay a buffered list (`consume`).
 
-All slice sets are frozensets of statement ids: a DyanSlice entry is a
-snapshot taken when its node executed and later state changes cannot leak
-into it. State changes size only through `_put`/`_drop` (the keyed stores
+Every slice is held as a Python-int bitset over statement ids (bit u set
+when statement u is in it), so a union is one `|` and a size one
+`int.bit_count()`; `slice_of` and `slice_of_object` hand out a frozenset of
+ids (`ids_of`). Ints are immutable: a DyanSlice entry is a snapshot taken
+when its node executed and later state changes cannot leak into it. Each
+node's kind and governing test are looked up in tables built once per state.
+State changes size only through `_put`/`_drop` (the keyed stores
 active_data, active_control and dyn_table), `_set_call`/`_set_return` and
 the call-stack push and pop; each keeps the running `cardinality()` in step.
 """
@@ -34,7 +38,11 @@ from .events import (
     StmtExecuted,
 )
 
-EMPTY: frozenset[int] = frozenset()
+
+def ids_of(bits: int) -> frozenset[int]:
+    """The statement ids of a bitset slice."""
+    # bin() reversed puts bit u at index u; its "0b" prefix lands past the top
+    return frozenset(u for u, bit in enumerate(reversed(bin(bits))) if bit == "1")
 
 
 class CriterionError(Exception):
@@ -44,17 +52,21 @@ class CriterionError(Exception):
 @dataclass
 class SliceState:
     cdg: Cdg
-    active_data: dict[RuntimeVar, frozenset[int]] = field(default_factory=dict)
-    active_control: dict[int, frozenset[int]] = field(default_factory=dict)
-    call_stack: list[frozenset[int]] = field(default_factory=list)
-    active_call: frozenset[int] = EMPTY
-    active_return: frozenset[int] = EMPTY
+    active_data: dict[RuntimeVar, int] = field(default_factory=dict)
+    active_control: dict[int, int] = field(default_factory=dict)
+    call_stack: list[int] = field(default_factory=list)
+    active_call: int = 0
+    active_return: int = 0
     # (node, display name) -> DyanSlice of the node's last execution
-    dyn_table: dict[tuple[int, str], frozenset[int]] = field(default_factory=dict)
+    dyn_table: dict[tuple[int, str], int] = field(default_factory=dict)
     events: int = 0
     updates: int = 0
     peak_cardinality: int = 0
     _card: int = 0
+
+    def __post_init__(self):
+        self._kind = {u: info.kind for u, info in self.cdg.nodes.items()}
+        self._test = {u: self.cdg.parent_test(u) for u in self.cdg.nodes}
 
     # -- event consumption ----------------------------------------------------
 
@@ -81,70 +93,68 @@ class SliceState:
     def on_stmt(self, ev: StmtExecuted) -> "SliceState":
         u = ev.id
         ctrl = self._ctrl(u)
-        use_union = EMPTY
+        active_data = self.active_data
+        use_union = 0
         for v in ev.uses:
-            use_union |= self.active_data.get(v, EMPTY)
-        kind = self.cdg.kind(u)
+            use_union |= active_data.get(v, 0)
+        kind = self._kind[u]
 
         # def update; at call nodes the defs were installed by on_return
         if kind != "Call":
             for d in ev.defs:
-                self._put(self.active_data, d,
-                          frozenset({u}) | use_union | ctrl | self.active_call)
+                self._put(active_data, d, 1 << u | use_union | ctrl | self.active_call)
 
         # DyanSlice snapshot for everything this node touched
         for v in ev.defs + ev.uses:
-            self._put(self.dyn_table, (u, v.display),
-                      self.active_data.get(v, EMPTY) | ctrl)
+            self._put(self.dyn_table, (u, v.display), active_data.get(v, 0) | ctrl)
 
         if kind in ("Test", "TestLoop"):
             self._put(self.active_control, u,
-                      frozenset({u}) | use_union | ctrl | self.active_call)
+                      1 << u | use_union | ctrl | self.active_call)
         return self
 
     def on_call(self, ev: CallEntered) -> "SliceState":
         u = ev.call_site
         ctrl = self._ctrl(u)
         self.call_stack.append(self.active_call)
-        self._card += len(self.active_call)
-        self._set_call(frozenset({u}) | self.active_call | ctrl)
+        self._card += self.active_call.bit_count()
+        self._set_call(1 << u | self.active_call | ctrl)
         for b in ev.bindings:
             for f_var, sources in b.transfers:
-                ads = EMPTY
+                ads = 0
                 for src in sources:
-                    ads |= self.active_data.get(src, EMPTY)
+                    ads |= self.active_data.get(src, 0)
                 self._put(self.active_data, f_var, ads | self.active_call)
         return self
 
     def on_return(self, ev: AboutToReturn | Returned) -> "SliceState":
         if isinstance(ev, AboutToReturn):
-            use_union = EMPTY
+            use_union = 0
             for v in ev.uses:
-                use_union |= self.active_data.get(v, EMPTY)
-            head = frozenset({ev.id}) if ev.id is not None else EMPTY
-            ctrl = self._ctrl(ev.id) if ev.id is not None else EMPTY
+                use_union |= self.active_data.get(v, 0)
+            head = 1 << ev.id if ev.id is not None else 0
+            ctrl = self._ctrl(ev.id) if ev.id is not None else 0
             self._set_return(head | use_union | ctrl | self.active_call)
             return self
 
         u = ev.call_site
         # by-ref copy-back: the actual inherits the formal's slice exactly
         for f_var, a_var in ev.copy_backs:
-            self._put(self.active_data, a_var, self.active_data.get(f_var, EMPTY))
+            self._put(self.active_data, a_var, self.active_data.get(f_var, 0))
         if ev.returned_into is not None:
             self._put(self.active_data, ev.returned_into, self.active_return)
         # snapshot the receiver's members so (call node, member) is a valid
         # criterion: the call is where those defs reached the caller
         ctrl = self._ctrl(u)
         for v in ev.receiver_members:
-            self._put(self.dyn_table, (u, v.display),
-                      self.active_data.get(v, EMPTY) | ctrl)
+            self._put(self.dyn_table, (u, v.display), self.active_data.get(v, 0) | ctrl)
         # callee locals die with the frame
         for v in ev.resets:
             self._drop(self.active_data, v)
         restored = self.call_stack.pop()
-        self._card -= len(restored)
+        self._card -= restored.bit_count()
         self._set_call(restored)
-        self._set_return(EMPTY)
+        self._set_return(0)
         return self
 
     def on_loop_exit(self, ev: LoopExited) -> "SliceState":
@@ -159,20 +169,20 @@ class SliceState:
         if entry is None:
             raise CriterionError(
                 f"criterion ({node}, {var}) never executed with that variable")
-        return entry
+        return ids_of(entry)
 
     def slice_of_object(self, obj: str) -> frozenset[int]:
         """Member-wise union of the object's final ActiveDataSlices."""
         cls = self.cdg.main_objects.get(obj)
         if cls is None:
             raise CriterionError(f"unknown object {obj!r}")
-        result = EMPTY
+        result = 0
         for m in self.cdg.members[cls]:
             display = f"{obj}.{m}"
             for rv, ads in self.active_data.items():
                 if rv.kind == "member" and rv.display == display:
                     result |= ads
-        return result
+        return ids_of(result)
 
     def criteria(self) -> list[tuple[int, str]]:
         """All (node, variable) pairs that are valid slicing criteria."""
@@ -184,36 +194,34 @@ class SliceState:
 
     def recount(self) -> int:
         """cardinality() recomputed from scratch (consistency check)."""
-        total = len(self.active_call) + len(self.active_return)
+        total = self.active_call.bit_count() + self.active_return.bit_count()
         for store in (self.active_data, self.active_control, self.dyn_table):
             for s in store.values():
-                total += len(s)
+                total += s.bit_count()
         for s in self.call_stack:
-            total += len(s)
+            total += s.bit_count()
         return total
 
     # -- internals ---------------------------------------------------------------
 
-    def _ctrl(self, sid: int) -> frozenset[int]:
-        p = self.cdg.parent_test(sid)
-        if p is None:
-            return EMPTY
-        return self.active_control.get(p, EMPTY)
+    def _ctrl(self, sid: int) -> int:
+        # an Entry-governed node's test is None, which no active_control key is
+        return self.active_control.get(self._test[sid], 0)
 
-    def _put(self, store: dict, key, value: frozenset[int]) -> None:
-        self._card += len(value) - len(store.get(key, EMPTY))
+    def _put(self, store: dict, key, value: int) -> None:
+        self._card += value.bit_count() - store.get(key, 0).bit_count()
         store[key] = value
         self.updates += 1
 
     def _drop(self, store: dict, key) -> None:
-        self._card -= len(store.pop(key, EMPTY))
+        self._card -= store.pop(key, 0).bit_count()
 
-    def _set_call(self, value: frozenset[int]) -> None:
-        self._card += len(value) - len(self.active_call)
+    def _set_call(self, value: int) -> None:
+        self._card += value.bit_count() - self.active_call.bit_count()
         self.active_call = value
 
-    def _set_return(self, value: frozenset[int]) -> None:
-        self._card += len(value) - len(self.active_return)
+    def _set_return(self, value: int) -> None:
+        self._card += value.bit_count() - self.active_return.bit_count()
         self.active_return = value
 
 

@@ -135,6 +135,27 @@ def test_parse_error_at_end_of_file_exits_2(tmp_path, capsys, text, message):
     assert message in captured.err
 
 
+@pytest.mark.parametrize("text,where", [
+    ("void main() { int x;\n    x = %s; }", "line 2, col 9"),
+    ("void main() { int x;\n    #%s: x = 1; }", "line 2, col 6"),
+], ids=["literal", "label"])
+def test_oversized_integer_literal_exits_2(tmp_path, capsys, text, where):
+    # past Python's 4300-digit limit for int(); used to be a bare ValueError
+    bad = tmp_path / "big.mini"
+    bad.write_text(text % ("9" * 5000))
+    assert main(["cdg", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"integer literal too long: 5000 digits at {where}" in captured.err
+
+
+def test_long_integer_literal_runs(tmp_path, capsys):
+    path = tmp_path / "long.mini"
+    path.write_text("void main() { int x;\n    #1: x = %s;\n    #2: cout << x; }" % ("9" * 40))
+    assert main(["slice", str(path), "--criterion", "2:x"]) == 0
+    assert "slice (2, x) = {1}" in capsys.readouterr().out
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     assert main(["slice", str(tmp_path / "nope.mini"),
                  "--criterion", "1:x"]) == 2

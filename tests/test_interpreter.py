@@ -252,3 +252,43 @@ def test_validate_trace_accepts_every_real_run():
         program = load(source)
         events = run(program, inputs, budget).events
         validate_trace(events, build_cdg(program))
+
+
+def _named_vars(ev):
+    """(field, var) for every RuntimeVar an event names."""
+    if isinstance(ev, StmtExecuted):
+        yield from (("defs", v) for v in ev.defs)
+        yield from (("uses", v) for v in ev.uses)
+    elif isinstance(ev, AboutToReturn):
+        yield from (("return uses", v) for v in ev.uses)
+    elif isinstance(ev, CallEntered):
+        for b in ev.bindings:
+            for f_var, sources in b.transfers:
+                yield "transfers", f_var
+                yield from (("transfers", v) for v in sources)
+    elif isinstance(ev, Returned):
+        for f_var, a_var in ev.copy_backs:
+            yield "copy_backs", f_var
+            yield "copy_backs", a_var
+        yield from (("resets", v) for v in ev.resets)
+        if ev.returned_into is not None:
+            yield "returned_into", ev.returned_into
+        yield from (("receiver_members", v) for v in ev.receiver_members)
+
+
+def test_equal_vars_are_one_object():
+    """Within one run, and within one parsed trace, any two equal RuntimeVars
+    anywhere in the stream are the same object: the slicer's and the oracle's
+    dicts keyed by them then match on identity."""
+    cases = [(SAMPLE_SOURCE, SAMPLE_INPUTS), (CALLS_SOURCE, (5,)), (BYREF_SOURCE, (7,))]
+    cases += [(g.source, g.inputs) for g in map(generate, range(50))]
+    fields = set()
+    for source, inputs in cases:
+        events = run(load(source), inputs).events
+        for stream in (events, parse_trace(serialize_trace(events))):
+            first = {}
+            for name, v in (nv for ev in stream for nv in _named_vars(ev)):
+                assert first.setdefault(v, v) is v, f"{v} in {name} is a second object"
+                fields.add(name)
+    assert fields == {"defs", "uses", "return uses", "transfers", "copy_backs",
+                      "resets", "returned_into", "receiver_members"}

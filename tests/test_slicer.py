@@ -38,8 +38,8 @@ def test_object_slices(sample_state):
 
 def test_state_is_quiescent_after_run(sample_state):
     assert sample_state.call_stack == []
-    assert sample_state.active_call == frozenset()
-    assert sample_state.active_return == frozenset()
+    assert sample_state.active_call == 0  # the empty bitset
+    assert sample_state.active_return == 0
     assert sample_state.active_control == {}
     assert sample_state.recount() == sample_state.cardinality()
     assert sample_state.events == 64

@@ -41,6 +41,7 @@ def assert_streamed_equals_buffered(source, inputs):
         assert streamed.slice_of_object(obj) == buffered.slice_of_object(obj)
     assert (streamed.events, streamed.updates, streamed.peak_cardinality) \
         == (buffered.events, buffered.updates, buffered.peak_cardinality)
+    return streamed
 
 
 def test_sink_receives_every_event_and_result_events_is_empty(sample_program, sample_run):

@@ -12,6 +12,7 @@ from dynslice import init, load, run
 from dynslice.cdg import build_cdg
 from dynslice.events import CallEntered, Returned, StmtExecuted
 from dynslice.fixtures import SAMPLE_INPUTS, SAMPLE_SOURCE
+from dynslice.slicer import ids_of
 
 # ("stmt"|"call"|"ret", node, checks); "call" stops after CallEntered,
 # "ret" after Returned. Checks: ("ads", display, ids) is the current
@@ -74,7 +75,7 @@ def _stopped(kind, node, ev):
 def _ads(state, display):
     found = [s for rv, s in state.active_data.items() if rv.display == display]
     assert len(found) == 1, f"expected one live variable named {display}"
-    return set(found[0])
+    return set(ids_of(found[0]))
 
 
 def replay(events=None):
