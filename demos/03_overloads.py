@@ -33,6 +33,4 @@ events = run(program, SAMPLE_INPUTS).events
 print("dispatch evidence from the trace:")
 for ev in events:
     if isinstance(ev, CallEntered):
-        types = ", ".join(ev.callee.param_types)
-        print(f"  node {ev.call_site:2} entered "
-              f"{ev.callee.cls}.{ev.callee.name}({types})")
+        print(f"  node {ev.call_site:2} entered {ev.callee}")

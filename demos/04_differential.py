@@ -8,7 +8,7 @@ nested control flow; every executed criterion must agree between the engines.
 
 from __future__ import annotations
 
-from dynslice import build_cdg, generate, load, run, slice_events
+from dynslice import build_cdg, generate, init, load, run
 from dynslice.cli import run_check
 
 seed = 42
@@ -19,7 +19,7 @@ print(g.source)
 program = load(g.source)
 graph = build_cdg(program)
 result = run(program, g.inputs)
-state = slice_events(graph, result.events)
+state = init(graph).consume(result.events)
 print(f"run: {result.status}, {len(result.events)} events, "
       f"{len(state.criteria())} criteria")
 

@@ -10,7 +10,7 @@ every statement occurrence, grows linearly with the trace.
 
 from __future__ import annotations
 
-from dynslice import build_cdg, build_ddg, load, run, slice_events
+from dynslice import build_cdg, build_ddg, init, load, run
 from dynslice.fixtures import CALLS_SOURCE, STREAM_SOURCE
 
 
@@ -22,7 +22,7 @@ def table(source: str, ns: tuple[int, ...]) -> None:
           f"{'DyanSlice entries':>18} {'oracle nodes':>13}")
     for n in ns:
         result = run(program, (n,), budget=10 * n + 100)
-        state = slice_events(graph, result.events)
+        state = init(graph).consume(result.events)
         ddg = build_ddg(result.events, graph)
         print(f"{n:>10} {len(result.events):>8} {state.peak_cardinality:>18} "
               f"{len(state.dyn_table):>18} {ddg.occurrences:>13}")

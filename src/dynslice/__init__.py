@@ -23,7 +23,7 @@ from .frontend import (
 from .generator import GeneratedProgram, generate
 from .interpreter import DEFAULT_BUDGET, RunResult, run
 from .oracle import Ddg, backward_slice, build_ddg
-from .slicer import CriterionError, SliceState, init, slice_events
+from .slicer import CriterionError, SliceState, init
 from .syntax import Program, pretty
 
 __all__ = [
@@ -57,5 +57,4 @@ __all__ = [
     "resolve_overload",
     "run",
     "serialize_trace",
-    "slice_events",
 ]

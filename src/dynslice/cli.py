@@ -43,7 +43,18 @@ def _parse_inputs(args: argparse.Namespace) -> tuple[int, ...]:
     else:
         return ()
     parts = [p for p in re.split(r"[\s,]+", text.strip()) if p]
-    return tuple(int(p) for p in parts)
+    return tuple(_input(n, p) for n, p in enumerate(parts, start=1))
+
+
+def _input(n: int, text: str) -> int:
+    """The n-th cin value; ValueError naming it if it is no int Python reads."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = text[1:] if text[0] in "+-" else text
+        if digits.isdecimal():  # past Python's int string-conversion limit
+            raise ValueError(f"input {n} is too long: {len(digits)} digits") from None
+        raise ValueError(f"input {n} is not an integer: {text!r}") from None
 
 
 def _parse_criterion(text: str) -> tuple[int, str]:
@@ -166,7 +177,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             print(f"error: {result.message}", file=sys.stderr)
             return 3
         events = result.events
-    state = slicer.slice_events(graph, events)
+    state = slicer.init(graph).consume(events)
     ddg = oracle.build_ddg(events, graph)
     verdict = _first_mismatch(state, ddg)
     if verdict is None:
@@ -182,7 +193,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def run_check(graph: Cdg, events: list[ExecEvent]):
     """First differing criterion between the two engines, or None if all agree."""
-    return _first_mismatch(slicer.slice_events(graph, events),
+    return _first_mismatch(slicer.init(graph).consume(events),
                            oracle.build_ddg(events, graph))
 
 

@@ -4,12 +4,18 @@ The interpreter emits these in execution order; the slicer consumes them
 directly or replays them from a serialized trace. Round-trip is exact:
 ``parse_trace(serialize_trace(events)) == events``.
 
+Each event says a fact the program text cannot give, and says it once:
+StmtExecuted (a statement ran: its defs and uses), CallEntered (callee entry
+key and parameter transfers), Returned (copy-backs, resets, the assigned
+var, the receiver's members), LoopExited, InputConsumed, OutputProduced and
+Warning. A return's slice is read from the Return statement's StmtExecuted.
+
 A trace line is one JSON object: ``"event"`` holds the class name and every
-other key is a dataclass field of that event, nested dataclasses included,
-with keys sorted. The encoder writes tuples in the order they were emitted;
-the interpreter fixes that order, sorting each var tuple by
-``RuntimeVar.sort_key``; bindings, transfers and copy-backs keep formal and
-member declaration order.
+other key is a dataclass field of that event, a RuntimeVar as an object of
+its fields, with keys sorted. The encoder writes tuples in the order they
+were emitted; the interpreter fixes that order, sorting each var tuple by
+``RuntimeVar.sort_key``; transfers and copy-backs keep formal and member
+declaration order.
 ``from_json`` is the schema that checks a line read back in, and
 ``validate_trace`` checks a parsed trace against the program it is replayed
 on, so that neither engine meets an event it cannot place.
@@ -55,37 +61,15 @@ class StmtExecuted(ExecEvent):
 
 
 @dataclass(frozen=True)
-class Callee:
-    cls: str
-    name: str
-    param_types: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class Binding:
-    """One formal's slice-transfer plan: pairs of (formal var, source vars).
-
-    Scalars give one pair; object formals give one pair per member; literal
-    actuals give an empty source tuple.
-    """
-
-    formal: str
-    by_ref: bool
-    kind: str  # "var" | "object" | "literal"
-    transfers: tuple[tuple[RuntimeVar, tuple[RuntimeVar, ...]], ...] = ()
-
-
-@dataclass(frozen=True)
 class CallEntered(ExecEvent):
+    """A call's callee, by its CDG entry key ("test.add(test,test)"), and its
+    slice-transfer plan: (formal var, source vars) pairs in formal, then
+    member, order. A scalar formal gives one pair, an object formal one per
+    member, a literal actual an empty source tuple."""
+
     call_site: int
-    callee: Callee
-    bindings: tuple[Binding, ...] = ()
-
-
-@dataclass(frozen=True)
-class AboutToReturn(ExecEvent):
-    id: int | None
-    uses: tuple[RuntimeVar, ...] = ()
+    callee: str
+    transfers: tuple[tuple[RuntimeVar, tuple[RuntimeVar, ...]], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -149,17 +133,9 @@ def from_json(d: dict, interned: dict) -> ExecEvent:
         return StmtExecuted(d["id"], _rvs_from(d["defs"], interned),
                             _rvs_from(d["uses"], interned))
     if kind == "CallEntered":
-        callee = Callee(d["callee"]["cls"], d["callee"]["name"],
-                        tuple(d["callee"]["param_types"]))
-        bindings = tuple(
-            Binding(b["formal"], b["by_ref"], b["kind"],
-                    tuple((_rv_from(f, interned), _rvs_from(srcs, interned))
-                          for f, srcs in b["transfers"]))
-            for b in d["bindings"]
-        )
-        return CallEntered(d["call_site"], callee, bindings)
-    if kind == "AboutToReturn":
-        return AboutToReturn(d["id"], _rvs_from(d["uses"], interned))
+        return CallEntered(d["call_site"], d["callee"], tuple(
+            (_rv_from(f, interned), _rvs_from(srcs, interned))
+            for f, srcs in d["transfers"]))
     if kind == "Returned":
         return Returned(
             d["call_site"],
@@ -207,13 +183,18 @@ def parse_trace(text: str) -> list[ExecEvent]:
 def validate_trace(events: list[ExecEvent], graph: Cdg) -> None:
     """Reject (ValueError) a parsed trace that this program's runs cannot
     produce: a node id it does not have, a node before its governing test, a
-    LoopExited off a loop, or a Returned without its CallEntered."""
+    LoopExited off a loop, a call into no method of the program, or a
+    Returned without its CallEntered."""
+    methods = set(graph.entry_order) - {"main"}
     executed: set[int] = set()
     open_calls: list[int] = []
     for i, ev in enumerate(events, start=1):
         if isinstance(ev, (StmtExecuted, LoopExited)):
             node = ev.id
         elif isinstance(ev, CallEntered):
+            if type(ev.callee) is not str or ev.callee not in methods:
+                raise ValueError(f"trace event {i}: no method {ev.callee!r} "
+                                 "in this program")
             node = ev.call_site
             open_calls.append(node)
         elif isinstance(ev, Returned):
@@ -221,8 +202,6 @@ def validate_trace(events: list[ExecEvent], graph: Cdg) -> None:
             if not open_calls or open_calls.pop() != node:
                 raise ValueError(f"trace event {i}: Returned from {node!r} "
                                  "without its CallEntered")
-        elif isinstance(ev, AboutToReturn) and ev.id is not None:
-            node = ev.id
         else:
             continue
         if type(node) is not int or node not in graph.nodes:

@@ -23,10 +23,11 @@ its members' vars, and every event names those same objects. Equal vars in
 one run are therefore identical, so the slicer's and the oracle's dicts keyed
 by them match on identity, and no var is built per read.
 
-Event order around a call: CallEntered, the callee's events, AboutToReturn
-just before an executed return node, Returned (copy-backs, resets), and only
-then the call site's own StmtExecuted. Loop tests emit StmtExecuted per
-evaluation and LoopExited after the false one.
+Event order around a call: CallEntered (the callee's entry key and the
+parameter transfers), the callee's events, a Return node's StmtExecuted if
+one runs, Returned (copy-backs, resets), and only then the call site's own
+StmtExecuted. Loop tests emit StmtExecuted per evaluation and LoopExited after
+the false one.
 
 `run` hands every event to one callable, `sink`, the moment it is emitted.
 The default sink appends to `RunResult.events`; any other sink (a slicer's
@@ -40,10 +41,8 @@ import operator
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
+from .cdg import entry_key
 from .events import (
-    AboutToReturn,
-    Binding,
-    Callee,
     CallEntered,
     ExecEvent,
     InputConsumed,
@@ -298,7 +297,6 @@ class _Interp:
                 self.charge(s)
         elif isinstance(s, Return):
             value = None if s.value is None else self.eval(s.value, frame, s.id, uses)
-            self.emit(AboutToReturn(s.id, _ordered(uses)))
             self.stmt_event(s, (), uses)
             raise _ReturnSignal(value)
         elif isinstance(s, Call):
@@ -314,7 +312,7 @@ class _Interp:
         callee = self.new_frame(receiver, method.body)
 
         uses: list[RuntimeVar] = []
-        bindings: list[Binding] = []
+        transfers: list[tuple[RuntimeVar, tuple[RuntimeVar, ...]]] = []
         copy_backs: list[tuple[RuntimeVar, RuntimeVar]] = []
         write_backs: list[tuple[Name, str]] = []  # (actual lvalue, formal name)
         for f, a in zip(method.formals, s.args):
@@ -322,9 +320,7 @@ class _Interp:
                 arg_vars: list[RuntimeVar] = []
                 f_var = callee.bind(f.name, self.eval(a, frame, s.id, arg_vars))
                 uses.extend(arg_vars)
-                kind = "literal" if not arg_vars else "var"
-                bindings.append(Binding(f.name, f.by_ref, kind,
-                                        ((f_var, tuple(arg_vars)),)))
+                transfers.append((f_var, tuple(arg_vars)))
                 if f.by_ref:
                     # a by-reference actual is a single variable
                     copy_backs.append((f_var, arg_vars[0]))
@@ -334,17 +330,16 @@ class _Interp:
                 copy = self.new_object(f.type, f.name)
                 copy.members = dict(actual_obj.members)
                 callee.locals[f.name] = copy
-                transfers = tuple((f_var, (actual_obj.vars[m],))
-                                  for m, f_var in copy.vars.items())
-                uses.extend(src for _, (src,) in transfers)
-                bindings.append(Binding(f.name, f.by_ref, "object", transfers))
+                pairs = [(f_var, (actual_obj.vars[m],))
+                         for m, f_var in copy.vars.items()]
+                uses.extend(src for _, (src,) in pairs)
+                transfers.extend(pairs)
                 if f.by_ref:
-                    copy_backs.extend((f_var, src) for f_var, (src,) in transfers)
+                    copy_backs.extend((f_var, src) for f_var, (src,) in pairs)
                     write_backs.append((a, f.name))
 
-        self.emit(CallEntered(s.id, Callee(s.receiver_cls, method.name,
-                                           method.signature.param_types),
-                              tuple(bindings)))
+        self.emit(CallEntered(s.id, entry_key(s.receiver_cls, method),
+                              tuple(transfers)))
 
         returned: int | None = None
         try:

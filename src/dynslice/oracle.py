@@ -108,11 +108,10 @@ class _Builder:
         fc = self.add(u, preds)
         self.frame_ctx.append(fc)
         self.pending_ret.append(None)
-        for b in ev.bindings:
-            for f_var, sources in b.transfers:
-                spreds = [self.last_def[s] for s in sources if s in self.last_def]
-                spreds.append(fc)
-                self.last_def[f_var] = self.add(None, spreds)
+        for f_var, sources in ev.transfers:
+            spreds = [self.last_def[s] for s in sources if s in self.last_def]
+            spreds.append(fc)
+            self.last_def[f_var] = self.add(None, spreds)
 
     def on_returned(self, ev: Returned) -> None:
         u = ev.call_site
@@ -145,7 +144,7 @@ def build_ddg(events: list[ExecEvent], cdg: Cdg) -> Ddg:
             b.on_call(ev)
         elif isinstance(ev, Returned):
             b.on_returned(ev)
-        # AboutToReturn, LoopExited, and IO events add no graph structure
+        # LoopExited and IO events add no graph structure
     return b.ddg
 
 

@@ -2,7 +2,8 @@
 
 Consumes the execution event stream and maintains the live slice state:
 ActiveDataSlice per runtime variable, ActiveControlSlice per test node,
-ActiveCallSlice with its stack, ActiveReturnSlice, and the accumulated
+ActiveCallSlice with its stack, ActiveReturnSlice (set when a Return
+statement executes, cleared on Returned), and the accumulated
 DyanSlice table with last-execution semantics. The table is keyed by
 (node, display name), exactly what `slice_of` and `criteria()` look up, so a
 node that runs in many frames keeps one entry per name rather than one per
@@ -29,7 +30,6 @@ from dataclasses import dataclass, field
 
 from .cdg import Cdg
 from .events import (
-    AboutToReturn,
     CallEntered,
     ExecEvent,
     LoopExited,
@@ -76,7 +76,7 @@ class SliceState:
             self.on_stmt(ev)
         elif isinstance(ev, CallEntered):
             self.on_call(ev)
-        elif isinstance(ev, (AboutToReturn, Returned)):
+        elif isinstance(ev, Returned):
             self.on_return(ev)
         elif isinstance(ev, LoopExited):
             self.on_loop_exit(ev)
@@ -90,7 +90,7 @@ class SliceState:
             self.feed(ev)
         return self
 
-    def on_stmt(self, ev: StmtExecuted) -> "SliceState":
+    def on_stmt(self, ev: StmtExecuted) -> None:
         u = ev.id
         ctrl = self._ctrl(u)
         active_data = self.active_data
@@ -111,32 +111,22 @@ class SliceState:
         if kind in ("Test", "TestLoop"):
             self._put(self.active_control, u,
                       1 << u | use_union | ctrl | self.active_call)
-        return self
+        elif kind == "Return":
+            self._set_return(1 << u | use_union | ctrl | self.active_call)
 
-    def on_call(self, ev: CallEntered) -> "SliceState":
+    def on_call(self, ev: CallEntered) -> None:
         u = ev.call_site
         ctrl = self._ctrl(u)
         self.call_stack.append(self.active_call)
         self._card += self.active_call.bit_count()
         self._set_call(1 << u | self.active_call | ctrl)
-        for b in ev.bindings:
-            for f_var, sources in b.transfers:
-                ads = 0
-                for src in sources:
-                    ads |= self.active_data.get(src, 0)
-                self._put(self.active_data, f_var, ads | self.active_call)
-        return self
+        for f_var, sources in ev.transfers:
+            ads = 0
+            for src in sources:
+                ads |= self.active_data.get(src, 0)
+            self._put(self.active_data, f_var, ads | self.active_call)
 
-    def on_return(self, ev: AboutToReturn | Returned) -> "SliceState":
-        if isinstance(ev, AboutToReturn):
-            use_union = 0
-            for v in ev.uses:
-                use_union |= self.active_data.get(v, 0)
-            head = 1 << ev.id if ev.id is not None else 0
-            ctrl = self._ctrl(ev.id) if ev.id is not None else 0
-            self._set_return(head | use_union | ctrl | self.active_call)
-            return self
-
+    def on_return(self, ev: Returned) -> None:
         u = ev.call_site
         # by-ref copy-back: the actual inherits the formal's slice exactly
         for f_var, a_var in ev.copy_backs:
@@ -155,11 +145,9 @@ class SliceState:
         self._card -= restored.bit_count()
         self._set_call(restored)
         self._set_return(0)
-        return self
 
-    def on_loop_exit(self, ev: LoopExited) -> "SliceState":
+    def on_loop_exit(self, ev: LoopExited) -> None:
         self._drop(self.active_control, ev.id)
-        return self
 
     # -- queries ----------------------------------------------------------------
 
@@ -228,8 +216,3 @@ class SliceState:
 def init(cdg: Cdg) -> SliceState:
     """Fresh all-empty slicer state for a run over this program's CDG."""
     return SliceState(cdg)
-
-
-def slice_events(cdg: Cdg, events) -> SliceState:
-    """One-shot convenience: feed a whole event stream through a fresh state."""
-    return init(cdg).consume(events)

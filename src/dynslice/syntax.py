@@ -245,7 +245,7 @@ def walk(body: list[Stmt]):
 # Pretty printer
 # ---------------------------------------------------------------------------
 
-# Binding strength of the binary operators, read by the parser and the printer.
+# Precedence of the binary operators, read by the parser and the printer.
 # All are left-associative, except that relational operators do not chain.
 PRECEDENCE = {
     "==": 1, "!=": 1, "<": 1, ">": 1, "<=": 1, ">=": 1,

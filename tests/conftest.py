@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from dynslice import build_cdg, load, run, slice_events
+from dynslice import build_cdg, init, load, run
 from dynslice.fixtures import LOOP_SOURCE, SAMPLE_INPUTS, SAMPLE_SOURCE
 
 
@@ -24,7 +24,7 @@ def sample_run(sample_program):
 @pytest.fixture(scope="session")
 def sample_state(sample_cdg, sample_run):
     # read-only in tests; anything that feeds events builds its own state
-    return slice_events(sample_cdg, sample_run.events)
+    return init(sample_cdg).consume(sample_run.events)
 
 
 @pytest.fixture(scope="session")

@@ -149,6 +149,25 @@ def test_oversized_integer_literal_exits_2(tmp_path, capsys, text, where):
     assert f"integer literal too long: 5000 digits at {where}" in captured.err
 
 
+@pytest.mark.parametrize("value,message", [
+    ("9" * 5000, "input 2 is too long: 5000 digits"),
+    ("-" + "9" * 5000, "input 2 is too long: 5000 digits"),
+    ("0x1f", "input 2 is not an integer: '0x1f'"),
+], ids=["too-long", "too-long-negative", "not-integer"])
+@pytest.mark.parametrize("via", ["flag", "file"])
+def test_bad_input_value_exits_2(loop_path, tmp_path, capsys, value, message, via):
+    inputs = f"3, {value}"
+    if via == "flag":
+        argv = ["--inputs", inputs]
+    else:
+        (tmp_path / "in.txt").write_text(inputs + "\n")
+        argv = ["--inputs-file", str(tmp_path / "in.txt")]
+    assert main(["slice", loop_path, "--criterion", "6:s", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_long_integer_literal_runs(tmp_path, capsys):
     path = tmp_path / "long.mini"
     path.write_text("void main() { int x;\n    #1: x = %s;\n    #2: cout << x; }" % ("9" * 40))
@@ -295,9 +314,15 @@ _RETURNED = ('{"event": "Returned", "call_site": 4, "copy_backs": [], "resets": 
     (_RETURNED, "without its CallEntered"),
     (_STMT % (4, ""), "node 4 before its test 3"),
     ('{"event": "LoopExited", "id": 2}', "LoopExited on non-loop node 2"),
-    ('{"event": "AboutToReturn", "id": 99, "uses": []}', "no node 99"),
+    ('{"event": "CallEntered", "call_site": 4, "callee": "acc.f(acc)", '
+     '"transfers": []}', "no method 'acc.f(acc)' in this program"),
+    ('{"event": "AboutToReturn", "id": 9, "uses": []}', "malformed trace at line 1"),
+    ('{"bindings": [{"by_ref": false, "formal": "x", "kind": "literal", '
+     '"transfers": []}], "call_site": 4, "callee": {"cls": "acc", "name": "f", '
+     '"param_types": ["int"]}, "event": "CallEntered"}', "malformed trace at line 1"),
 ], ids=["owner-list", "id-string", "unknown-id", "lone-returned",
-        "before-test", "loop-exit-off-loop", "unknown-return"])
+        "before-test", "loop-exit-off-loop", "foreign-callee",
+        "old-about-to-return", "old-call-bindings"])
 def test_check_rejects_trace_of_another_program(tmp_path, capsys, record, message):
     src = tmp_path / "calls.mini"
     src.write_text(CALLS_SOURCE)

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from dynslice import build_cdg, build_ddg, generate, load, run, slice_events
+from dynslice import build_cdg, build_ddg, generate, init, load, run
 from dynslice.cli import run_check
 from dynslice.events import StmtExecuted
 from dynslice.fixtures import BYREF_SOURCE, LOOP_SOURCE, SAMPLE_INPUTS, SAMPLE_SOURCE
@@ -45,7 +45,7 @@ def test_every_criterion_compared():
     program = load(g.source)
     graph = build_cdg(program)
     events = run(program, g.inputs).events
-    state = slice_events(graph, events)
+    state = init(graph).consume(events)
     ddg = build_ddg(events, graph)
     assert state.criteria() == ddg.executed_criteria()
     executed = {e.id for e in events if isinstance(e, StmtExecuted)}

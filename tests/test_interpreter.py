@@ -12,7 +12,6 @@ from dynslice import (
     serialize_trace,
 )
 from dynslice.events import (
-    AboutToReturn,
     CallEntered,
     InputConsumed,
     LoopExited,
@@ -58,8 +57,7 @@ def test_call_event_protocol(sample_run):
                       if isinstance(e, CallEntered))
     window = events[first_call:first_call + 5]
     assert isinstance(window[0], CallEntered) and window[0].call_site == 5
-    assert window[0].callee.name == "get"
-    assert window[0].callee.param_types == ("int", "int")
+    assert window[0].callee == "test.get(int,int)"
     assert [e.id for e in window[1:3] if isinstance(e, StmtExecuted)] == [17, 18]
     assert isinstance(window[3], Returned) and window[3].call_site == 5
     assert isinstance(window[4], StmtExecuted) and window[4].id == 5
@@ -85,12 +83,13 @@ void main() {
 """), ())
     assert result.ok and result.outputs == [2]
     kinds = [type(e).__name__ for e in result.events]
-    assert kinds == ["CallEntered", "StmtExecuted", "AboutToReturn",
-                     "StmtExecuted", "Returned", "StmtExecuted",
-                     "OutputProduced", "StmtExecuted"]
-    about = next(e for e in result.events if isinstance(e, AboutToReturn))
-    assert about.id == 4
-    assert [v.display for v in about.uses] == ["o.m"]
+    assert kinds == ["CallEntered", "StmtExecuted", "StmtExecuted",
+                     "Returned", "StmtExecuted", "OutputProduced",
+                     "StmtExecuted"]
+    assert result.events[0].callee == "c.f(int)"
+    ret = result.events[2]
+    assert ret.id == 4
+    assert [v.display for v in ret.uses] == ["o.m"]
     returned = next(e for e in result.events if isinstance(e, Returned))
     assert returned.returned_into.display == "b"
 
@@ -98,9 +97,9 @@ void main() {
 def test_overload_dispatch_in_trace(sample_run):
     by_site = {e.call_site: e for e in sample_run.events
                if isinstance(e, CallEntered)}
-    assert by_site[13].callee.param_types == ("test", "test")
-    assert by_site[15].callee.param_types == ("test", "int")
-    assert by_site[5].callee.param_types == ("int", "int")
+    assert by_site[13].callee == "test.add(test,test)"
+    assert by_site[15].callee == "test.add(test,int)"
+    assert by_site[5].callee == "test.get(int,int)"
 
 
 def test_io_event_precedes_statement(sample_run):
@@ -259,13 +258,10 @@ def _named_vars(ev):
     if isinstance(ev, StmtExecuted):
         yield from (("defs", v) for v in ev.defs)
         yield from (("uses", v) for v in ev.uses)
-    elif isinstance(ev, AboutToReturn):
-        yield from (("return uses", v) for v in ev.uses)
     elif isinstance(ev, CallEntered):
-        for b in ev.bindings:
-            for f_var, sources in b.transfers:
-                yield "transfers", f_var
-                yield from (("transfers", v) for v in sources)
+        for f_var, sources in ev.transfers:
+            yield "transfers", f_var
+            yield from (("transfers", v) for v in sources)
     elif isinstance(ev, Returned):
         for f_var, a_var in ev.copy_backs:
             yield "copy_backs", f_var
@@ -290,5 +286,5 @@ def test_equal_vars_are_one_object():
             for name, v in (nv for ev in stream for nv in _named_vars(ev)):
                 assert first.setdefault(v, v) is v, f"{v} in {name} is a second object"
                 fields.add(name)
-    assert fields == {"defs", "uses", "return uses", "transfers", "copy_backs",
-                      "resets", "returned_into", "receiver_members"}
+    assert fields == {"defs", "uses", "transfers", "copy_backs", "resets",
+                      "returned_into", "receiver_members"}

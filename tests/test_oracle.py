@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from dynslice import backward_slice, build_cdg, build_ddg, load, run, slice_events
+from dynslice import backward_slice, build_cdg, build_ddg, init, load, run
 from dynslice.events import StmtExecuted
 from dynslice.fixtures import BYREF_SOURCE, LOOP_SOURCE
 from dynslice.slicer import CriterionError
@@ -44,7 +44,7 @@ def test_loop_slices_from_graph(loop_program, loop_cdg):
 def test_criteria_anchor_at_execution_time(loop_program, loop_cdg):
     # (4, s) after one iteration must not absorb the later iterations
     events = run(loop_program, (3,)).events
-    state = slice_events(loop_cdg, events)
+    state = init(loop_cdg).consume(events)
     trunc = events[:next(i for i, e in enumerate(events)
                          if isinstance(e, StmtExecuted) and e.id == 4) + 1]
     early = build_ddg(trunc, loop_cdg)
@@ -69,7 +69,7 @@ def test_unknown_criterion():
 
 def test_executed_criteria_match_streaming(sample_run, sample_cdg):
     ddg = build_ddg(sample_run.events, sample_cdg)
-    state = slice_events(sample_cdg, sample_run.events)
+    state = init(sample_cdg).consume(sample_run.events)
     assert ddg.executed_criteria() == state.criteria()
 
 

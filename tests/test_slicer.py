@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from dynslice import build_cdg, generate, init, load, run, slice_events
+from dynslice import build_cdg, generate, init, load, run
 from dynslice.fixtures import (
     BYREF_SOURCE,
     CALLS_SOURCE,
@@ -64,7 +64,7 @@ def test_criteria_enumeration(sample_state):
 
 
 def test_fresh_state_replays_identically(sample_cdg, sample_run):
-    a = slice_events(sample_cdg, sample_run.events)
+    a = init(sample_cdg).consume(sample_run.events)
     b = init(sample_cdg).consume(sample_run.events)
     assert a.dyn_table == b.dyn_table
     assert a.active_data == b.active_data
@@ -73,7 +73,7 @@ def test_fresh_state_replays_identically(sample_cdg, sample_run):
 
 def test_loop_control_slice_reset(loop_program, loop_cdg):
     events = run(loop_program, (2,)).events
-    state = slice_events(loop_cdg, events)
+    state = init(loop_cdg).consume(events)
     # inside the loop, 6 sees the loop through data; 8 must not see it at all
     assert state.slice_of(6, "s") == {1, 2, 3, 4, 5}
     assert state.slice_of(8, "t") == {7}
@@ -82,14 +82,14 @@ def test_loop_control_slice_reset(loop_program, loop_cdg):
 
 
 def test_loop_zero_iterations(loop_program, loop_cdg):
-    state = slice_events(loop_cdg, run(loop_program, (0,)).events)
+    state = init(loop_cdg).consume(run(loop_program, (0,)).events)
     assert state.slice_of(3, "n") == {1}
     assert state.slice_of(6, "s") == {2}
     assert state.slice_of(8, "t") == {7}
 
 
 def test_loop_body_slices_grow_then_saturate(loop_program, loop_cdg):
-    state = slice_events(loop_cdg, run(loop_program, (3,)).events)
+    state = init(loop_cdg).consume(run(loop_program, (3,)).events)
     assert state.slice_of(4, "s") == {1, 2, 3, 4, 5}
     assert state.slice_of(5, "n") == {1, 3, 5}
     assert state.slice_of(6, "s") == {1, 2, 3, 4, 5}
@@ -97,7 +97,7 @@ def test_loop_body_slices_grow_then_saturate(loop_program, loop_cdg):
 
 def test_by_ref_actual_inherits_formal_slice():
     program = load(BYREF_SOURCE)
-    state = slice_events(build_cdg(program), run(program, (7,)).events)
+    state = init(build_cdg(program)).consume(run(program, (7,)).events)
     assert state.slice_of(5, "x") == {1, 2, 3, 4}
     assert state.slice_of(4, "r") == {1, 2, 3, 4}
 
@@ -109,7 +109,7 @@ def test_streaming_state_is_bounded():
     for n in (10, 1000):
         result = run(program, (n,), budget=10 * n + 100)
         assert result.ok
-        state = slice_events(graph, result.events)
+        state = init(graph).consume(result.events)
         assert state.recount() == state.cardinality()
         peaks.append(state.peak_cardinality)
     assert peaks[0] == peaks[1]

@@ -4,7 +4,7 @@ for the slicer and for the `trace` command's output."""
 
 from __future__ import annotations
 
-from dynslice import build_cdg, generate, init, load, run, serialize_trace, slice_events
+from dynslice import build_cdg, generate, init, load, run, serialize_trace
 from dynslice.cli import main
 from dynslice.fixtures import LOOP_SOURCE, SAMPLE_INPUTS, SAMPLE_SOURCE
 
@@ -28,7 +28,7 @@ def assert_streamed_equals_buffered(source, inputs):
     program = load(source)
     graph = build_cdg(program)
     buffered_run = run(program, inputs)
-    buffered = slice_events(graph, buffered_run.events)
+    buffered = init(graph).consume(buffered_run.events)
     streamed = init(graph)
     streamed_run = run(program, inputs, sink=streamed.feed)
     assert streamed_run.events == []
