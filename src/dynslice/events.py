@@ -12,8 +12,11 @@ Warning. A return's slice is read from the Return statement's StmtExecuted.
 
 A trace line is one JSON object: ``"event"`` holds the class name and every
 other key is a dataclass field of that event, a RuntimeVar as an object of
-its fields, with keys sorted. The encoder writes tuples in the order they
-were emitted; the interpreter fixes that order, sorting each var tuple by
+its fields, with keys sorted. ``to_line`` builds it from the event class's
+fields, encoding each value by its type, and writes exactly the bytes of
+``json.dumps(..., sort_keys=True)``: strings ASCII-escaped, ``", "`` and
+``": "`` as separators. Tuples keep the order they were emitted in; the
+interpreter fixes that order, sorting each var tuple by
 ``RuntimeVar.sort_key``; transfers and copy-backs keep formal and member
 declaration order.
 ``from_json`` is the schema that checks a line read back in, and
@@ -24,19 +27,22 @@ on, so that neither engine meets an event it cannot place.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cache
+from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from .cdg import Cdg
 
 
-@dataclass(frozen=True)
-class RuntimeVar:
+class RuntimeVar(NamedTuple):
     """A concrete storage location during one run.
 
     Locals are keyed by the owning frame's invocation serial, members by the
     object's identity, so same-named variables in different activations or
     objects stay distinct. ``display`` is the human-readable name used in
-    criteria ("p", "T1.a", "x").
+    criteria ("p", "T1.a", "x"). A named tuple, so that the slicer's and the
+    oracle's dicts keyed by vars hash and compare them in C.
     """
 
     kind: str  # "local" | "member"
@@ -156,10 +162,49 @@ def from_json(d: dict, interned: dict) -> ExecEvent:
     raise ValueError(f"malformed trace record: {d!r}")
 
 
+def _encode(x) -> str:
+    """`x` as JSON, by its exact type: the bytes ``json.dumps(x, sort_keys=True)``
+    gives for the plain dicts and lists that stand for it."""
+    t = type(x)
+    if t is RuntimeVar:
+        return '{"display": %s, "kind": %s, "name": %s, "owner": %s}' % (
+            _encode(x.display), _encode(x.kind), _encode(x.name), _encode(x.owner))
+    if t is tuple:
+        return "[" + ", ".join(map(_encode, x)) + "]"
+    if t is int:
+        return int.__repr__(x)
+    if t is str:
+        return encode_basestring_ascii(x)
+    if x is None:
+        return "null"
+    return json.dumps(x, default=vars, sort_keys=True)
+
+
+@cache
+def _line_parts(cls: type) -> tuple[list[str], tuple[str, ...]]:
+    """The pieces of `cls`'s lines, literal text at even places and None for
+    each value, and the fields whose values fill them, in key order: the
+    dataclass fields plus "event", sorted."""
+    keys = sorted([f.name for f in fields(cls)] + ["event"])
+    parts = ["{"]
+    for i, k in enumerate(keys):
+        parts[-1] += (", " if i else "") + _encode(k) + ": "
+        if k == "event":
+            parts[-1] += _encode(cls.__name__)
+        else:
+            parts += [None, ""]
+    parts[-1] += "}\n"
+    return parts, tuple(k for k in keys if k != "event")
+
+
 def to_line(ev: ExecEvent) -> str:
-    """One event as its NDJSON trace line, newline included."""
-    return json.dumps({"event": type(ev).__name__, **vars(ev)},
-                      default=vars, sort_keys=True) + "\n"
+    """One event as its NDJSON trace line, newline included. One join makes
+    the line at its exact length: a %-format result may keep up to a quarter
+    more, and `trace` holds every line until the run ends."""
+    parts, names = _line_parts(type(ev))
+    parts = parts.copy()
+    parts[1::2] = [_encode(getattr(ev, n)) for n in names]
+    return "".join(parts)
 
 
 def serialize_trace(events) -> str:
@@ -182,12 +227,19 @@ def parse_trace(text: str) -> list[ExecEvent]:
 
 def validate_trace(events: list[ExecEvent], graph: Cdg) -> None:
     """Reject (ValueError) a parsed trace that this program's runs cannot
-    produce: a node id it does not have, a node before its governing test, a
-    LoopExited off a loop, a call into no method of the program, or a
-    Returned without its CallEntered."""
+    produce: a node id it does not have, a node outside the procedure that is
+    running (the innermost open call's callee, or main), a node before its
+    governing test, a LoopExited off a loop, a CallEntered off a call
+    statement or into no method of the program, or a Returned without its
+    CallEntered."""
     methods = set(graph.entry_order) - {"main"}
+    entry: dict[int, str] = {}  # node -> the procedure it belongs to
+    for sid, p in graph.parent.items():
+        while isinstance(p, int):
+            p = graph.parent[p]
+        entry[sid] = p
     executed: set[int] = set()
-    open_calls: list[int] = []
+    open_calls: list[tuple[int, str]] = []  # (call site, callee)
     for i, ev in enumerate(events, start=1):
         if isinstance(ev, (StmtExecuted, LoopExited)):
             node = ev.id
@@ -196,20 +248,27 @@ def validate_trace(events: list[ExecEvent], graph: Cdg) -> None:
                 raise ValueError(f"trace event {i}: no method {ev.callee!r} "
                                  "in this program")
             node = ev.call_site
-            open_calls.append(node)
         elif isinstance(ev, Returned):
             node = ev.call_site
-            if not open_calls or open_calls.pop() != node:
+            if not open_calls or open_calls.pop()[0] != node:
                 raise ValueError(f"trace event {i}: Returned from {node!r} "
                                  "without its CallEntered")
         else:
             continue
         if type(node) is not int or node not in graph.nodes:
             raise ValueError(f"trace event {i}: no node {node!r} in this program")
+        running = open_calls[-1][1] if open_calls else "main"
+        if entry[node] != running:
+            raise ValueError(f"trace event {i}: {type(ev).__name__} at node {node} "
+                             f"of {entry[node]} while {running} runs")
         test = graph.parent_test(node)
         if test is not None and test not in executed:
             raise ValueError(f"trace event {i}: node {node} before its test {test}")
         if isinstance(ev, LoopExited) and graph.kind(node) != "TestLoop":
             raise ValueError(f"trace event {i}: LoopExited on non-loop node {node}")
+        if isinstance(ev, CallEntered):
+            if graph.kind(node) != "Call":
+                raise ValueError(f"trace event {i}: CallEntered at non-call node {node}")
+            open_calls.append((node, ev.callee))
         if isinstance(ev, StmtExecuted):
             executed.add(node)

@@ -320,9 +320,14 @@ _RETURNED = ('{"event": "Returned", "call_site": 4, "copy_backs": [], "resets": 
     ('{"bindings": [{"by_ref": false, "formal": "x", "kind": "literal", '
      '"transfers": []}], "call_site": 4, "callee": {"cls": "acc", "name": "f", '
      '"param_types": ["int"]}, "event": "CallEntered"}', "malformed trace at line 1"),
+    ('{"event": "CallEntered", "call_site": 1, "callee": "acc.f(int)", '
+     '"transfers": []}\n' + _RETURNED.replace('"call_site": 4', '"call_site": 1'),
+     "trace event 1: CallEntered at non-call node 1"),
+    (_STMT % (8, ""), "trace event 1: StmtExecuted at node 8 of acc.f(int) while main runs"),
 ], ids=["owner-list", "id-string", "unknown-id", "lone-returned",
         "before-test", "loop-exit-off-loop", "foreign-callee",
-        "old-about-to-return", "old-call-bindings"])
+        "old-about-to-return", "old-call-bindings", "call-at-cin",
+        "method-stmt-in-main"])
 def test_check_rejects_trace_of_another_program(tmp_path, capsys, record, message):
     src = tmp_path / "calls.mini"
     src.write_text(CALLS_SOURCE)

@@ -5,9 +5,13 @@ from __future__ import annotations
 
 import hashlib
 import importlib.util
+import json
+from functools import cache
 from pathlib import Path
 
-from dynslice import generate, load, run, serialize_trace
+from dynslice import RuntimeVar, generate, load, parse_trace, run, serialize_trace
+from dynslice.events import (InputConsumed, OutputProduced, Returned, StmtExecuted,
+                             Warning, to_line)
 from dynslice.fixtures import SAMPLE_INPUTS, SAMPLE_SOURCE
 
 # sha256 of the SAMPLE_SOURCE trace followed by the traces of generator seeds
@@ -59,6 +63,27 @@ def sample_trace() -> str:
     return serialize_trace(run(load(SAMPLE_SOURCE), SAMPLE_INPUTS).events)
 
 
+@cache
+def seed_runs() -> tuple[list, ...]:
+    """The events of generator seeds 0..199, one list per seed."""
+    return tuple(run(load(g.source), g.inputs).events for g in map(generate, range(200)))
+
+
+def _plain(x):
+    """An event field as the plain dicts and lists json.dumps takes."""
+    if type(x) is RuntimeVar:
+        return {"kind": x.kind, "owner": x.owner, "name": x.name, "display": x.display}
+    if type(x) is tuple:
+        return [_plain(v) for v in x]
+    return x
+
+
+def reference_line(ev) -> str:
+    record = {k: _plain(v) for k, v in vars(ev).items()}
+    record["event"] = type(ev).__name__
+    return json.dumps(record, sort_keys=True) + "\n"
+
+
 def test_sample_trace_lines_are_exact():
     lines = sample_trace().splitlines()
     assert CALL_ENTERED_LINE in lines
@@ -67,12 +92,33 @@ def test_sample_trace_lines_are_exact():
 
 
 def test_trace_corpus_digest():
-    parts = [sample_trace()]
-    for seed in range(200):
-        g = generate(seed)
-        parts.append(serialize_trace(run(load(g.source), g.inputs).events))
-    text = "".join(parts)
+    text = sample_trace() + "".join(map(serialize_trace, seed_runs()))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == CORPUS_DIGEST
+
+
+def test_writer_matches_json_dumps():
+    """to_line writes each value by its type; json.dumps of the event as plain
+    dicts and lists is the reference it must equal byte for byte."""
+    for events in seed_runs():
+        for ev in events:
+            assert to_line(ev) == reference_line(ev)
+    var = RuntimeVar("local", -3, "é", 'q"\\ü')
+    made = [
+        OutputProduced(1, 'say "hi" \\ back\nnaïve — ✓ 😀\t\x00'),
+        Warning(2, "méthode ✗ returned no value"),
+        InputConsumed(3, -42),
+        OutputProduced(4, -12345678901234567890123456789),
+        StmtExecuted(5, (var,), (var, RuntimeVar("member", 7, "m", "o.m"))),
+        Returned(6, ((var, var),), (), None, ()),
+    ]
+    # values only a parsed trace can hold: a float id, a bool, a list, a dict
+    made += parse_trace('{"event": "LoopExited", "id": 3.5}\n'
+                        '{"event": "InputConsumed", "id": 1, "value": true}\n'
+                        '{"event": "OutputProduced", "id": 1, '
+                        '"value": [1.0, "ä", {"b": null, "a": false}]}\n')
+    assert type(made[-3].id) is float and made[-2].value is True
+    for ev in made:
+        assert to_line(ev) == reference_line(ev)
 
 
 def test_upgrade_trace_rewrites_old_records():
