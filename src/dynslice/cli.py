@@ -154,8 +154,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
     # lines are written only once the whole run serialized, so an event that
     # cannot be serialized leaves stdout empty rather than truncated
     lines: list[str] = []
+    seen: dict = {}
     result = interpreter.run(load(text), inputs, _budget(args),
-                             sink=lambda ev: lines.append(to_line(ev)))
+                             sink=lambda ev: lines.append(to_line(ev, seen)))
     sys.stdout.writelines(lines)
     if not result.ok:
         print(f"error: {result.message}", file=sys.stderr)

@@ -11,15 +11,20 @@ var, the receiver's members), LoopExited, InputConsumed, OutputProduced and
 Warning. A return's slice is read from the Return statement's StmtExecuted.
 
 A trace line is one JSON object: ``"event"`` holds the class name and every
-other key is a dataclass field of that event, a RuntimeVar as an object of
-its fields, with keys sorted. ``to_line`` builds it from the event class's
-fields, encoding each value by its type, and writes exactly the bytes of
-``json.dumps(..., sort_keys=True)``: strings ASCII-escaped, ``", "`` and
+other key is a dataclass field of that event, with keys sorted. A RuntimeVar
+is spelled out as an object of its fields the first time the trace names
+it, and after that is a bare int: its index among the trace's distinct vars,
+counted from 0 in order of first appearance, each line read left to right.
+``to_line`` builds a line from the event class's fields, encoding each value
+by its type, and writes exactly the bytes of ``json.dumps(...,
+sort_keys=True)`` of that record: strings ASCII-escaped, ``", "`` and
 ``": "`` as separators. Tuples keep the order they were emitted in; the
 interpreter fixes that order, sorting each var tuple by
 ``RuntimeVar.sort_key``; transfers and copy-backs keep formal and member
 declaration order.
-``from_json`` is the schema that checks a line read back in, and
+``from_json`` is the schema that checks a line read back in. A spelled-out
+var it has met before is the same object and takes no new index, so a trace
+that spells out every var, the format before indices, reads the same.
 ``validate_trace`` checks a parsed trace against the program it is replayed
 on, so that neither engine meets an event it cannot place.
 """
@@ -114,9 +119,17 @@ class Warning(ExecEvent):
 # JSON trace round-trip
 # ---------------------------------------------------------------------------
 
-def _rv_from(d: dict, interned: dict) -> RuntimeVar:
-    """The var a record names: checked first, since its fields become a key,
-    then the one RuntimeVar `interned` holds for those fields."""
+def _rv_from(d, interned: dict, seen: list) -> RuntimeVar:
+    """The var a record names: an int is its index in `seen`, the trace's vars
+    in order of first appearance. A spelled-out var is checked first, since
+    its fields become a key, then is the one RuntimeVar `interned` holds for
+    those fields; only a var new to the trace takes the next index."""
+    if type(d) is int:
+        if 0 <= d < len(seen):
+            return seen[d]
+        raise ValueError(f"no variable {d}: {len(seen)} seen so far")
+    if type(d) is not dict:
+        raise ValueError(f"malformed variable: {d!r}")
     key = (d["kind"], d["owner"], d["name"], d["display"])
     if (key[0] not in ("local", "member") or type(key[1]) is not int
             or type(key[2]) is not str or type(key[3]) is not str):
@@ -124,33 +137,35 @@ def _rv_from(d: dict, interned: dict) -> RuntimeVar:
     rv = interned.get(key)
     if rv is None:
         rv = interned[key] = RuntimeVar(*key)
+        seen.append(rv)
     return rv
 
 
-def _rvs_from(items, interned: dict) -> tuple[RuntimeVar, ...]:
-    return tuple(_rv_from(d, interned) for d in items)
+def _rvs_from(items, interned: dict, seen: list) -> tuple[RuntimeVar, ...]:
+    return tuple([_rv_from(d, interned, seen) for d in items])
 
 
-def from_json(d: dict, interned: dict) -> ExecEvent:
+def from_json(d: dict, interned: dict, seen: list) -> ExecEvent:
     """The event a decoded line holds. Vars are shared through `interned`,
-    (kind, owner, name, display) -> RuntimeVar, as the interpreter shares them."""
+    (kind, owner, name, display) -> RuntimeVar, as the interpreter shares them,
+    and `seen` lists them by index. Fields are read in sorted-key order, the
+    order `to_line` writes them, so a var is spelled out before its index."""
     kind = d.get("event") if isinstance(d, dict) else None
     if kind == "StmtExecuted":
-        return StmtExecuted(d["id"], _rvs_from(d["defs"], interned),
-                            _rvs_from(d["uses"], interned))
+        defs = _rvs_from(d["defs"], interned, seen)
+        return StmtExecuted(d["id"], defs, _rvs_from(d["uses"], interned, seen))
     if kind == "CallEntered":
-        return CallEntered(d["call_site"], d["callee"], tuple(
-            (_rv_from(f, interned), _rvs_from(srcs, interned))
-            for f, srcs in d["transfers"]))
+        return CallEntered(d["call_site"], d["callee"], tuple([
+            (_rv_from(f, interned, seen), _rvs_from(srcs, interned, seen))
+            for f, srcs in d["transfers"]]))
     if kind == "Returned":
-        return Returned(
-            d["call_site"],
-            tuple((_rv_from(f, interned), _rv_from(a, interned))
-                  for f, a in d["copy_backs"]),
-            _rvs_from(d["resets"], interned),
-            _rv_from(d["returned_into"], interned) if d["returned_into"] else None,
-            _rvs_from(d["receiver_members"], interned),
-        )
+        copy_backs = tuple([(_rv_from(f, interned, seen), _rv_from(a, interned, seen))
+                            for f, a in d["copy_backs"]])
+        receiver_members = _rvs_from(d["receiver_members"], interned, seen)
+        resets = _rvs_from(d["resets"], interned, seen)
+        into = d["returned_into"]
+        into = None if into is None else _rv_from(into, interned, seen)
+        return Returned(d["call_site"], copy_backs, resets, into, receiver_members)
     if kind == "LoopExited":
         return LoopExited(d["id"])
     if kind == "InputConsumed":
@@ -162,15 +177,21 @@ def from_json(d: dict, interned: dict) -> ExecEvent:
     raise ValueError(f"malformed trace record: {d!r}")
 
 
-def _encode(x) -> str:
+def _encode(x, seen: dict) -> str:
     """`x` as JSON, by its exact type: the bytes ``json.dumps(x, sort_keys=True)``
-    gives for the plain dicts and lists that stand for it."""
+    gives for the plain dicts and lists that stand for it. A var already in
+    `seen` is its index there; a new one is spelled out and takes the next."""
     t = type(x)
     if t is RuntimeVar:
+        i = seen.get(x)
+        if i is not None:
+            return int.__repr__(i)
+        seen[x] = len(seen)
         return '{"display": %s, "kind": %s, "name": %s, "owner": %s}' % (
-            _encode(x.display), _encode(x.kind), _encode(x.name), _encode(x.owner))
+            encode_basestring_ascii(x.display), encode_basestring_ascii(x.kind),
+            encode_basestring_ascii(x.name), int.__repr__(x.owner))
     if t is tuple:
-        return "[" + ", ".join(map(_encode, x)) + "]"
+        return "[" + ", ".join([_encode(v, seen) for v in x]) + "]"
     if t is int:
         return int.__repr__(x)
     if t is str:
@@ -188,41 +209,58 @@ def _line_parts(cls: type) -> tuple[list[str], tuple[str, ...]]:
     keys = sorted([f.name for f in fields(cls)] + ["event"])
     parts = ["{"]
     for i, k in enumerate(keys):
-        parts[-1] += (", " if i else "") + _encode(k) + ": "
+        parts[-1] += (", " if i else "") + encode_basestring_ascii(k) + ": "
         if k == "event":
-            parts[-1] += _encode(cls.__name__)
+            parts[-1] += encode_basestring_ascii(cls.__name__)
         else:
             parts += [None, ""]
     parts[-1] += "}\n"
     return parts, tuple(k for k in keys if k != "event")
 
 
-def to_line(ev: ExecEvent) -> str:
-    """One event as its NDJSON trace line, newline included. One join makes
-    the line at its exact length: a %-format result may keep up to a quarter
-    more, and `trace` holds every line until the run ends."""
+def to_line(ev: ExecEvent, seen: dict) -> str:
+    """One event as its NDJSON trace line, newline included. `seen` maps each
+    var the trace has written so far to its index, one table per trace. One
+    join makes the line at its exact length: a %-format result may keep up
+    to a quarter more, and `trace` holds every line until the run ends."""
     parts, names = _line_parts(type(ev))
     parts = parts.copy()
-    parts[1::2] = [_encode(getattr(ev, n)) for n in names]
+    parts[1::2] = [_encode(getattr(ev, n), seen) for n in names]
     return "".join(parts)
 
 
 def serialize_trace(events) -> str:
-    return "".join(map(to_line, events))
+    seen: dict = {}
+    return "".join([to_line(ev, seen) for ev in events])
 
 
 def parse_trace(text: str) -> list[ExecEvent]:
-    """The events of a trace, with one RuntimeVar per location as in a run."""
+    """The events of a trace, with one RuntimeVar per location as in a run.
+
+    A line read before is the same event again: the var table only grows,
+    and a var spelled out again takes no new index, so the line's indices and
+    vars name what they named the first time. A loop whose body touches only
+    vars already written repeats its lines, and those are decoded once."""
     events = []
     interned: dict = {}
+    seen: list = []
+    read: dict[str, ExecEvent] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            events.append(from_json(json.loads(line), interned))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ValueError(f"malformed trace at line {lineno}: {exc}") from exc
+        ev = read.get(line)
+        if ev is None:
+            if not line.strip():
+                continue
+            try:
+                ev = read[line] = from_json(json.loads(line), interned, seen)
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ValueError(f"malformed trace at line {lineno}: {exc}") from exc
+        events.append(ev)
     return events
+
+
+# the payload field of each event that carries a value, and the types it may hold
+_PAYLOADS = {InputConsumed: ("value", (int,)), OutputProduced: ("value", (int, str)),
+             Warning: ("message", (str,))}
 
 
 def validate_trace(events: list[ExecEvent], graph: Cdg) -> None:
@@ -230,8 +268,8 @@ def validate_trace(events: list[ExecEvent], graph: Cdg) -> None:
     produce: a node id it does not have, a node outside the procedure that is
     running (the innermost open call's callee, or main), a node before its
     governing test, a LoopExited off a loop, a CallEntered off a call
-    statement or into no method of the program, or a Returned without its
-    CallEntered."""
+    statement or into no method of the program, a Returned without its
+    CallEntered, or an input, output or warning payload of the wrong type."""
     methods = set(graph.entry_order) - {"main"}
     entry: dict[int, str] = {}  # node -> the procedure it belongs to
     for sid, p in graph.parent.items():
@@ -241,9 +279,7 @@ def validate_trace(events: list[ExecEvent], graph: Cdg) -> None:
     executed: set[int] = set()
     open_calls: list[tuple[int, str]] = []  # (call site, callee)
     for i, ev in enumerate(events, start=1):
-        if isinstance(ev, (StmtExecuted, LoopExited)):
-            node = ev.id
-        elif isinstance(ev, CallEntered):
+        if isinstance(ev, CallEntered):
             if type(ev.callee) is not str or ev.callee not in methods:
                 raise ValueError(f"trace event {i}: no method {ev.callee!r} "
                                  "in this program")
@@ -254,11 +290,20 @@ def validate_trace(events: list[ExecEvent], graph: Cdg) -> None:
                 raise ValueError(f"trace event {i}: Returned from {node!r} "
                                  "without its CallEntered")
         else:
-            continue
+            node = ev.id
+            if type(ev) in _PAYLOADS:
+                name, types = _PAYLOADS[type(ev)]
+                value = getattr(ev, name)
+                if type(value) not in types:
+                    raise ValueError(f"trace event {i}: {type(ev).__name__} {name} "
+                                     f"{value!r} is not {' or '.join(t.__name__ for t in types)}")
         if type(node) is not int or node not in graph.nodes:
             raise ValueError(f"trace event {i}: no node {node!r} in this program")
         running = open_calls[-1][1] if open_calls else "main"
-        if entry[node] != running:
+        # a call that assigns a missing result warns at its own site after the
+        # callee's last event and before Returned
+        returning = isinstance(ev, Warning) and open_calls and open_calls[-1][0] == node
+        if entry[node] != running and not returning:
             raise ValueError(f"trace event {i}: {type(ev).__name__} at node {node} "
                              f"of {entry[node]} while {running} runs")
         test = graph.parent_test(node)

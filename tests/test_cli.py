@@ -324,10 +324,32 @@ _RETURNED = ('{"event": "Returned", "call_site": 4, "copy_backs": [], "resets": 
      '"transfers": []}\n' + _RETURNED.replace('"call_site": 4', '"call_site": 1'),
      "trace event 1: CallEntered at non-call node 1"),
     (_STMT % (8, ""), "trace event 1: StmtExecuted at node 8 of acc.f(int) while main runs"),
+    ('{"event": "InputConsumed", "id": 99, "value": [1]}', "InputConsumed value [1] is not int"),
+    ('{"event": "InputConsumed", "id": 99, "value": 1}', "no node 99"),
+    ('{"event": "InputConsumed", "id": 1, "value": true}', "InputConsumed value True is not int"),
+    ('{"event": "OutputProduced", "id": 6, "value": 1.5}',
+     "OutputProduced value 1.5 is not int or str"),
+    ('{"event": "OutputProduced", "id": 8, "value": 1}',
+     "OutputProduced at node 8 of acc.f(int) while main runs"),
+    ('{"event": "Warning", "id": "x", "message": 5}', "Warning message 5 is not str"),
+    ('{"event": "Warning", "id": "x", "message": "m"}', "no node 'x'"),
+    (_STMT % (2, "") + '\n{"event": "Warning", "id": 4, "message": "m"}',
+     "trace event 2: node 4 before its test 3"),
+    # a var index must name a var the trace has already spelled out
+    (_STMT % (1, _VAR_N % 1) + "\n" + _STMT % (1, "1"), "malformed trace at line 2"),
+    (_STMT % (1, "0"), "malformed trace at line 1"),
+    (_STMT % (1, "-1"), "malformed trace at line 1"),
+    (_STMT % (1, "true"), "malformed trace at line 1"),
+    (_STMT % (1, "1.0"), "malformed trace at line 1"),
+    (_STMT % (1, '"0"'), "malformed trace at line 1"),
 ], ids=["owner-list", "id-string", "unknown-id", "lone-returned",
         "before-test", "loop-exit-off-loop", "foreign-callee",
         "old-about-to-return", "old-call-bindings", "call-at-cin",
-        "method-stmt-in-main"])
+        "method-stmt-in-main", "input-list", "input-unknown-id", "input-bool",
+        "output-float", "output-method-node-in-main", "warning-int-message",
+        "warning-id-string", "warning-before-test", "index-past-seen",
+        "index-none-seen", "index-negative", "index-bool", "index-float",
+        "index-string"])
 def test_check_rejects_trace_of_another_program(tmp_path, capsys, record, message):
     src = tmp_path / "calls.mini"
     src.write_text(CALLS_SOURCE)

@@ -240,8 +240,31 @@ def test_parse_trace_rejects_garbage():
         parse_trace(stmt % var.replace('"name": "n"', '"name": 5'))
 
 
+# a call whose result is assigned though the callee returned nothing: its
+# Warning names the call site while the call is still open
+NO_RESULT_SOURCE = """\
+class box {
+    int v;
+public:
+    int get(int x) {
+        #3: if (x > 0) {
+            #4: return x;
+        }
+    }
+};
+
+void main() {
+    box b;
+    int r;
+    #1: r = b.get(0);
+    #2: cout << r;
+}
+"""
+
+
 def test_validate_trace_accepts_every_real_run():
     cases = [(SAMPLE_SOURCE, SAMPLE_INPUTS, DEFAULT_BUDGET),
+             (NO_RESULT_SOURCE, (), DEFAULT_BUDGET),
              (LOOP_SOURCE, (3,), DEFAULT_BUDGET),
              (BYREF_SOURCE, (7,), DEFAULT_BUDGET),
              (CALLS_SOURCE, (5,), DEFAULT_BUDGET),

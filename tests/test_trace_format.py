@@ -6,30 +6,46 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from functools import cache
 from pathlib import Path
 
-from dynslice import RuntimeVar, generate, load, parse_trace, run, serialize_trace
-from dynslice.events import (InputConsumed, OutputProduced, Returned, StmtExecuted,
-                             Warning, to_line)
-from dynslice.fixtures import SAMPLE_INPUTS, SAMPLE_SOURCE
+import pytest
+
+from dynslice import RuntimeVar, build_cdg, generate, load, parse_trace, run, serialize_trace
+from dynslice.cdg import entry_key
+from dynslice.cli import main
+from dynslice.events import (CallEntered, InputConsumed, OutputProduced, Returned,
+                             StmtExecuted, Warning, to_line)
+from dynslice.fixtures import CALLS_SOURCE, SAMPLE_INPUTS, SAMPLE_SOURCE, STREAM_SOURCE
+
+from test_interpreter import _named_vars
+
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "upgrade_trace.py"
 
 # sha256 of the SAMPLE_SOURCE trace followed by the traces of generator seeds
-# 0..199; together they hold all 7 event kinds, copy-backs and returned_into
-CORPUS_DIGEST = "c5a4adb0d927778913ad4a0bd50b1be4a0824d90832bcd7e838f8c6fdc603ee8"
+# 0..199, each with its own var table; together they hold all 7 event kinds,
+# copy-backs and returned_into
+CORPUS_DIGEST = "b340c38180122fa19f00ab88084e87414c480041cc71247561c12ea4636bb6e9"
 
-# the first CallEntered of SAMPLE_SOURCE with object formals (T3.add(T1, T2))
+# the same corpus in the format before it, every var spelled out
+SPELLED_DIGEST = "c5a4adb0d927778913ad4a0bd50b1be4a0824d90832bcd7e838f8c6fdc603ee8"
+
+# and in the format before CallEntered was flattened
+UNFLATTENED_DIGEST = "dd860ca6a3f8a6a77d854affa4a6c90a8723b03bb3a467efebf9679c183335a0"
+
+# the first CallEntered of SAMPLE_SOURCE with object formals (T3.add(T1, T2)):
+# the formals' members are new, their sources T1.a, T1.b, T2.a, T2.b are not
 CALL_ENTERED_LINE = (
     '{"call_site": 13, "callee": "test.add(test,test)", "event": "CallEntered", '
     '"transfers": '
-    '[[{"display": "tp1.a", "kind": "member", "name": "a", "owner": 5}, '
-    '[{"display": "T1.a", "kind": "member", "name": "a", "owner": 1}]], '
-    '[{"display": "tp1.b", "kind": "member", "name": "b", "owner": 5}, '
-    '[{"display": "T1.b", "kind": "member", "name": "b", "owner": 1}]], '
-    '[{"display": "tp2.a", "kind": "member", "name": "a", "owner": 6}, '
-    '[{"display": "T2.a", "kind": "member", "name": "a", "owner": 2}]], '
-    '[{"display": "tp2.b", "kind": "member", "name": "b", "owner": 6}, '
-    '[{"display": "T2.b", "kind": "member", "name": "b", "owner": 2}]]]}'
+    '[[{"display": "tp1.a", "kind": "member", "name": "a", "owner": 5}, [4]], '
+    '[{"display": "tp1.b", "kind": "member", "name": "b", "owner": 5}, [5]], '
+    '[{"display": "tp2.a", "kind": "member", "name": "a", "owner": 6}, [8]], '
+    '[{"display": "tp2.b", "kind": "member", "name": "b", "owner": 6}, [9]]]}'
 )
 
 # the same call as written before CallEntered was flattened
@@ -48,40 +64,100 @@ OLD_CALL_ENTERED_LINE = (
     '"param_types": ["test", "test"]}, "event": "CallEntered"}'
 )
 
-# the first Returned of SAMPLE_SOURCE (T1.get(p, q))
+# the first Returned of SAMPLE_SOURCE (T1.get(p, q)): T1's members and the
+# callee's x and y have all been written before
 RETURNED_LINE = (
-    '{"call_site": 5, "copy_backs": [], "event": "Returned", "receiver_members": '
-    '[{"display": "T1.a", "kind": "member", "name": "a", "owner": 1}, '
-    '{"display": "T1.b", "kind": "member", "name": "b", "owner": 1}], '
-    '"resets": [{"display": "x", "kind": "local", "name": "x", "owner": 2}, '
-    '{"display": "y", "kind": "local", "name": "y", "owner": 2}], '
-    '"returned_into": null}'
+    '{"call_site": 5, "copy_backs": [], "event": "Returned", '
+    '"receiver_members": [4, 5], "resets": [2, 3], "returned_into": null}'
 )
 
 
-def sample_trace() -> str:
-    return serialize_trace(run(load(SAMPLE_SOURCE), SAMPLE_INPUTS).events)
-
-
 @cache
-def seed_runs() -> tuple[list, ...]:
-    """The events of generator seeds 0..199, one list per seed."""
-    return tuple(run(load(g.source), g.inputs).events for g in map(generate, range(200)))
+def corpus_runs() -> tuple[tuple, ...]:
+    """(program, events) of SAMPLE_SOURCE, then of generator seeds 0..199."""
+    cases = [(SAMPLE_SOURCE, SAMPLE_INPUTS)]
+    cases += [(g.source, g.inputs) for g in map(generate, range(200))]
+    return tuple((p, run(p, inputs).events) for p, inputs in
+                 ((load(source), inputs) for source, inputs in cases))
 
 
-def _plain(x):
-    """An event field as the plain dicts and lists json.dumps takes."""
+def sample_trace() -> str:
+    return serialize_trace(corpus_runs()[0][1])
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _plain(x, seen: dict | None):
+    """An event field as the plain dicts and lists json.dumps takes, a var
+    already in `seen` as its index there; with `seen` None every var is
+    spelled out."""
     if type(x) is RuntimeVar:
+        if seen is not None:
+            if x in seen:
+                return seen[x]
+            seen[x] = len(seen)
         return {"kind": x.kind, "owner": x.owner, "name": x.name, "display": x.display}
     if type(x) is tuple:
-        return [_plain(v) for v in x]
+        return [_plain(v, seen) for v in x]
     return x
 
 
-def reference_line(ev) -> str:
-    record = {k: _plain(v) for k, v in vars(ev).items()}
+def reference_record(ev, seen: dict | None = None) -> dict:
+    """The event as plain data, its fields taken in sorted-key order, the
+    order in which a line is written and read."""
+    record = {k: _plain(v, seen) for k, v in sorted(vars(ev).items())}
     record["event"] = type(ev).__name__
-    return json.dumps(record, sort_keys=True) + "\n"
+    return record
+
+
+def reference_line(ev, seen: dict | None = None) -> str:
+    return json.dumps(reference_record(ev, seen), sort_keys=True) + "\n"
+
+
+def spelled_trace(events) -> str:
+    """The trace in the format before this one: every var spelled out."""
+    return "".join(reference_line(ev) for ev in events)
+
+
+@cache
+def spelled_corpus() -> tuple[str, ...]:
+    return tuple(spelled_trace(events) for _, events in corpus_runs())
+
+
+def unflattened_trace(program, events) -> str:
+    """The trace in the format before CallEntered was flattened: every var
+    spelled out, an AboutToReturn record before each Return's StmtExecuted,
+    and each CallEntered with a callee object and per-formal bindings."""
+    graph = build_cdg(program)
+    methods = {entry_key(c.name, m): (c.name, m) for c in program.classes for m in c.methods}
+    records = []
+    for ev in events:
+        record = reference_record(ev)
+        if type(ev) is StmtExecuted and graph.kind(ev.id) == "Return":
+            records.append({"event": "AboutToReturn", "id": ev.id, "uses": record["uses"]})
+        if type(ev) is CallEntered:
+            cls, method = methods[record["callee"]]
+            record["callee"] = {"cls": cls, "name": method.name,
+                                "param_types": list(method.signature.param_types)}
+            transfers = iter(record.pop("transfers"))
+            record["bindings"] = []
+            for f in method.formals:
+                n = 1 if f.type == "int" else len(graph.members[f.type])
+                pairs = [next(transfers) for _ in range(n)]
+                kind = "object" if f.type != "int" else "var" if pairs[0][1] else "literal"
+                record["bindings"].append({"by_ref": f.by_ref, "formal": f.name,
+                                           "kind": kind, "transfers": pairs})
+        records.append(record)
+    return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+
+
+def upgrade_tool():
+    spec = importlib.util.spec_from_file_location("upgrade_trace", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
 
 
 def test_sample_trace_lines_are_exact():
@@ -92,16 +168,18 @@ def test_sample_trace_lines_are_exact():
 
 
 def test_trace_corpus_digest():
-    text = sample_trace() + "".join(map(serialize_trace, seed_runs()))
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == CORPUS_DIGEST
+    text = "".join(serialize_trace(events) for _, events in corpus_runs())
+    assert sha256(text) == CORPUS_DIGEST
 
 
 def test_writer_matches_json_dumps():
-    """to_line writes each value by its type; json.dumps of the event as plain
-    dicts and lists is the reference it must equal byte for byte."""
-    for events in seed_runs():
+    """to_line writes each value by its type and each var once; json.dumps of
+    the event as plain dicts and lists, each var already written replaced by
+    its index, is the reference it must equal byte for byte."""
+    for _, events in corpus_runs():
+        written, referenced = {}, {}
         for ev in events:
-            assert to_line(ev) == reference_line(ev)
+            assert to_line(ev, written) == reference_line(ev, referenced)
     var = RuntimeVar("local", -3, "é", 'q"\\ü')
     made = [
         OutputProduced(1, 'say "hi" \\ back\nnaïve — ✓ 😀\t\x00'),
@@ -117,16 +195,86 @@ def test_writer_matches_json_dumps():
                         '{"event": "OutputProduced", "id": 1, '
                         '"value": [1.0, "ä", {"b": null, "a": false}]}\n')
     assert type(made[-3].id) is float and made[-2].value is True
+    written, referenced = {}, {}
     for ev in made:
-        assert to_line(ev) == reference_line(ev)
+        assert to_line(ev, written) == reference_line(ev, referenced)
+
+
+def test_returned_into_the_first_var_round_trips():
+    """Index 0 is a var, not a missing one."""
+    r = RuntimeVar("local", 1, "r", "r")
+    events = [Returned(1, (), (), r, ()), Returned(1, (), (), r, ())]
+    text = serialize_trace(events)
+    assert text.splitlines()[1].endswith('"returned_into": 0}')
+    assert parse_trace(text) == events
+
+
+def test_a_var_spelled_out_again_takes_no_new_index():
+    n, t = RuntimeVar("local", 1, "n", "n"), RuntimeVar("local", 1, "t", "t")
+    text = "".join(reference_line(StmtExecuted(i, (v,), ())) for i, v in enumerate((n, n, t)))
+    text += '{"defs": [1], "event": "StmtExecuted", "id": 3, "uses": [0]}\n'
+    assert parse_trace(text)[-1] == StmtExecuted(3, (t,), (n,))
 
 
 def test_upgrade_trace_rewrites_old_records():
-    path = Path(__file__).resolve().parent.parent / "tools" / "upgrade_trace.py"
-    spec = importlib.util.spec_from_file_location("upgrade_trace", path)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    """An old call is flattened and its vars spelled out once, and an
+    AboutToReturn record is dropped."""
+    call = next(ev for ev in corpus_runs()[0][1]
+                if type(ev) is CallEntered and ev.callee == "test.add(test,test)")
     old = "\n".join([OLD_CALL_ENTERED_LINE,
-                     '{"event": "AboutToReturn", "id": 4, "uses": []}',
-                     RETURNED_LINE, ""])
-    assert tool.upgrade(old) == CALL_ENTERED_LINE + "\n" + RETURNED_LINE + "\n"
+                     '{"event": "AboutToReturn", "id": 4, "uses": []}', ""])
+    assert upgrade_tool().upgrade(old) == serialize_trace([call])
+
+
+def test_upgrade_trace_rewrites_old_corpora():
+    """The two earlier formats of the digest corpus, each trace upgraded on its
+    own, become today's corpus byte for byte; today's passes unchanged."""
+    tool = upgrade_tool()
+    spelled = spelled_corpus()
+    unflattened = [unflattened_trace(p, events) for p, events in corpus_runs()]
+    assert sha256("".join(spelled)) == SPELLED_DIGEST
+    assert sha256("".join(unflattened)) == UNFLATTENED_DIGEST
+    for old in (spelled, unflattened):
+        assert sha256("".join(map(tool.upgrade, old))) == CORPUS_DIGEST
+    assert tool.upgrade(sample_trace()) == sample_trace()
+
+
+def test_upgrade_trace_script():
+    old = unflattened_trace(*corpus_runs()[0])
+    assert OLD_CALL_ENTERED_LINE in old.splitlines()
+    done = subprocess.run([sys.executable, str(TOOL)], input=old,
+                          capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert done.stdout == sample_trace()
+
+
+@pytest.mark.parametrize("source,inputs", [(SAMPLE_SOURCE, SAMPLE_INPUTS),
+                                           (STREAM_SOURCE, (50,)),
+                                           (CALLS_SOURCE, (50,))],
+                         ids=["sample", "loop", "calls"])
+def test_check_replays_both_formats_alike(tmp_path, capsys, source, inputs):
+    """`check --trace` prints the same for a trace in today's format and in
+    the previous one."""
+    src = tmp_path / "p.mini"
+    src.write_text(source)
+    trace = tmp_path / "t.ndjson"
+    events = run(load(source), inputs).events
+    outputs = []
+    for text in (serialize_trace(events), spelled_trace(events)):
+        trace.write_text(text)
+        outputs.append((main(["check", str(src), "--trace", str(trace)]),
+                        *capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0 and "criteria agree" in outputs[0][1]
+
+
+def test_previous_format_reads_alike():
+    """A trace with every var spelled out reads to the same events, one object
+    per location. `check --trace` reads nothing else from a trace, so its
+    output is the same too; the test above shows it on three programs."""
+    for (_, events), old in zip(corpus_runs(), spelled_corpus()):
+        parsed = parse_trace(old)
+        assert parsed == parse_trace(serialize_trace(events)) == events
+        first = {}
+        for name, v in (nv for ev in parsed for nv in _named_vars(ev)):
+            assert first.setdefault(v, v) is v, f"{v} in {name} is a second object"

@@ -1,15 +1,18 @@
-"""Rewrite a trace written before CallEntered was flattened into today's format.
+"""Rewrite an older trace into today's format.
 
     PYTHONPATH=src python tools/upgrade_trace.py < old.ndjson > new.ndjson
 
-Older traces carry an AboutToReturn record before each executed return, a
-CallEntered ``callee`` object ``{"cls", "name", "param_types"}`` and per-formal
-``bindings``; `dynslice check --trace` rejects them with exit 2. This drops the
+Traces written before CallEntered was flattened carry an AboutToReturn record
+before each executed return, a CallEntered ``callee`` object
+``{"cls", "name", "param_types"}`` and per-formal ``bindings``;
+`dynslice check --trace` rejects them with exit 2. This drops the
 AboutToReturn lines (the Return statement's own StmtExecuted says the same),
-turns ``callee`` into its CDG entry key (``"test.add(test,test)"``), flattens
-``bindings`` into their ``transfers`` in order, and re-encodes each record
-with the trace writer, so a record today's reader rejects is an error here
-too. Lines already in today's format pass through unchanged.
+turns ``callee`` into its CDG entry key (``"test.add(test,test)"``) and
+flattens ``bindings`` into their ``transfers`` in order. Every record is then
+read with the trace reader and re-encoded with the trace writer, one var table
+each for the whole file, so each var is spelled out once and an index after
+that, and a record today's reader rejects is an error here too. A trace
+already in today's format comes out unchanged.
 """
 
 from __future__ import annotations
@@ -20,21 +23,25 @@ import sys
 from dynslice.events import from_json, to_line
 
 
-def upgrade_line(line: str) -> str:
-    """The line in today's format, or "" for a record that is dropped."""
-    record = json.loads(line)
-    if record["event"] == "AboutToReturn":
-        return ""
-    if record["event"] == "CallEntered" and "bindings" in record:
-        callee = record["callee"]
-        types = ",".join(callee["param_types"])
-        record["callee"] = f"{callee['cls']}.{callee['name']}({types})"
-        record["transfers"] = [t for b in record.pop("bindings") for t in b["transfers"]]
-    return to_line(from_json(record, {}))
-
-
 def upgrade(text: str) -> str:
-    return "".join(upgrade_line(line) for line in text.splitlines() if line.strip())
+    interned: dict = {}
+    read: list = []  # the reader's vars by index
+    written: dict = {}  # the writer's var -> index
+    lines = []
+    for line in text.splitlines():
+        if not line.strip():
+            continue
+        record = json.loads(line)
+        if record["event"] == "AboutToReturn":
+            continue
+        if record["event"] == "CallEntered" and "bindings" in record:
+            callee = record["callee"]
+            types = ",".join(callee["param_types"])
+            record["callee"] = f"{callee['cls']}.{callee['name']}({types})"
+            record["transfers"] = [t for b in record.pop("bindings")
+                                   for t in b["transfers"]]
+        lines.append(to_line(from_json(record, interned, read), written))
+    return "".join(lines)
 
 
 if __name__ == "__main__":
