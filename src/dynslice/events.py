@@ -43,15 +43,17 @@ from .cdg import Cdg
 class RuntimeVar(NamedTuple):
     """A concrete storage location during one run.
 
-    Locals are keyed by the owning frame's invocation serial, members by the
-    object's identity, so same-named variables in different activations or
-    objects stay distinct. ``display`` is the human-readable name used in
-    criteria ("p", "T1.a", "x"). A named tuple, so that the slicer's and the
-    oracle's dicts keyed by vars hash and compare them in C.
+    A local is keyed by its frame's call depth, a member by its object's id,
+    so same-named variables in live frames or objects stay distinct. A frame
+    that returned has had its vars reset, so a later frame at that depth, or
+    an object that takes a freed id, reuses the name. ``display`` is the
+    human-readable name used in criteria ("p", "T1.a", "x"). A named tuple,
+    so that the slicer's and the oracle's dicts keyed by vars hash and compare
+    them in C.
     """
 
     kind: str  # "local" | "member"
-    owner: int  # frame serial | object identity
+    owner: int  # opaque: call depth | object id as the interpreter numbers them
     name: str
     display: str
 
@@ -234,13 +236,20 @@ def serialize_trace(events) -> str:
     return "".join([to_line(ev, seen) for ev in events])
 
 
+# the events that name only nodes and vars, so have as many distinct lines as
+# a program has nodes and vars by call depth, whatever the run's values
+_PROGRAM_BOUND = {StmtExecuted, CallEntered, Returned, LoopExited}
+
+
 def parse_trace(text: str) -> list[ExecEvent]:
     """The events of a trace, with one RuntimeVar per location as in a run.
 
     A line read before is the same event again: the var table only grows,
     and a var spelled out again takes no new index, so the line's indices and
-    vars name what they named the first time. A loop whose body touches only
-    vars already written repeats its lines, and those are decoded once."""
+    vars name what they named the first time. Vars name what is live, a local
+    by call depth, so calls at one depth repeat their lines as loops do, and
+    those are decoded once. Only `_PROGRAM_BOUND` lines are kept for that,
+    so the cache is bounded by the program, not by the run's values."""
     events = []
     interned: dict = {}
     seen: list = []
@@ -251,9 +260,11 @@ def parse_trace(text: str) -> list[ExecEvent]:
             if not line.strip():
                 continue
             try:
-                ev = read[line] = from_json(json.loads(line), interned, seen)
+                ev = from_json(json.loads(line), interned, seen)
             except (ValueError, KeyError, TypeError) as exc:
                 raise ValueError(f"malformed trace at line {lineno}: {exc}") from exc
+            if type(ev) in _PROGRAM_BOUND:
+                read[line] = ev
         events.append(ev)
     return events
 

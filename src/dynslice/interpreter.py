@@ -17,11 +17,15 @@ Each expression is walked once: `eval` computes its value and collects the
 variables it reads, in read order, as the statement's uses. `locate` is the
 one place that maps a bound name to its storage and RuntimeVar.
 
-There is one RuntimeVar per storage location per run: a frame makes its int
-locals' vars when it is created (int formals when they are bound), an object
-its members' vars, and every event names those same objects. Equal vars in
-one run are therefore identical, so the slicer's and the oracle's dicts keyed
-by them match on identity, and no var is built per read.
+A RuntimeVar names a location by what is live: an int local by its frame's
+call depth (0 for main, +1 per open call), a member by its object's id. Main's
+objects keep fresh ids; a method frame's objects take the lowest free ids and
+free them once its Returned, where both engines reset them, is emitted. Frames
+close in reverse order, so the free ids are those above a mark, and live ids
+keep the order their objects were made in. Each var is built once per run:
+frames at one depth share one table of locals, and member vars are interned.
+Equal vars in one run are therefore identical, so the slicer's and the
+oracle's dicts keyed by them match on identity, and no var is built per read.
 
 Event order around a call: CallEntered (the callee's entry key and the
 parameter transfers), the callee's events, a Return node's StmtExecuted if
@@ -38,6 +42,7 @@ is then an empty list, so no trace-sized structure is kept.
 from __future__ import annotations
 
 import operator
+from collections import defaultdict
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -107,15 +112,17 @@ class ObjectVal:
 
 @dataclass
 class Frame:
-    serial: int
+    depth: int
+    vars: dict[str, RuntimeVar]  # int local -> its var, shared by frames at this depth
     receiver: ObjectVal | None = None
     locals: dict[str, "int | ObjectVal | None"] = field(default_factory=dict)
-    vars: dict[str, RuntimeVar] = field(default_factory=dict)  # int local -> its var
 
     def bind(self, name: str, value: int | None) -> RuntimeVar:
         """Make the int local `name` with `value`; return its RuntimeVar."""
         self.locals[name] = value
-        var = self.vars[name] = RuntimeVar("local", self.serial, name, name)
+        var = self.vars.get(name)
+        if var is None:
+            var = self.vars[name] = RuntimeVar("local", self.depth, name, name)
         return var
 
 
@@ -146,7 +153,7 @@ def run(program: Program, inputs: list[int] | tuple[int, ...] = (),
     interp = _Interp(program, list(inputs), budget,
                      events.append if sink is None else sink)
     try:
-        frame = interp.new_frame(None, program.main)
+        frame = interp.new_frame(0, None, program.main)
         try:
             interp.exec_block(program.main, frame)
         except _ReturnSignal:
@@ -166,13 +173,13 @@ class _Interp:
         self.depth = 0  # blocks open
         self.emit = emit
         self.outputs: list[int | str] = []
-        self.next_serial = 0
-        self.next_oid = 0
+        self.next_oid = 0  # the ids above it are free
         self.members = {c.name: c.members for c in program.classes}
+        self.frame_vars: dict[int, dict[str, RuntimeVar]] = defaultdict(dict)  # by depth
+        self.member_vars: dict[RuntimeVar, RuntimeVar] = {}
 
-    def new_frame(self, receiver: ObjectVal | None, body: list[Stmt]) -> Frame:
-        self.next_serial += 1
-        frame = Frame(self.next_serial, receiver)
+    def new_frame(self, depth: int, receiver: ObjectVal | None, body: list[Stmt]) -> Frame:
+        frame = Frame(depth, self.frame_vars[depth], receiver)
         # declarations are procedure-scoped; objects exist from frame entry
         for s in _decls(body):
             for name in s.names:
@@ -185,8 +192,11 @@ class _Interp:
     def new_object(self, cls: str, var_name: str) -> ObjectVal:
         self.next_oid += 1
         oid = self.next_oid
-        return ObjectVal(oid, {m: RuntimeVar("member", oid, m, f"{var_name}.{m}")
-                               for m in self.members[cls]})
+        vars = {}
+        for m in self.members[cls]:
+            var = RuntimeVar("member", oid, m, f"{var_name}.{m}")
+            vars[m] = self.member_vars.setdefault(var, var)
+        return ObjectVal(oid, vars)
 
     # -- reads, writes and evaluation ----------------------------------------
 
@@ -309,7 +319,8 @@ class _Interp:
     def exec_call(self, s: Call, frame: Frame) -> None:
         receiver = frame.locals[s.receiver.base]
         method = s.resolved
-        callee = self.new_frame(receiver, method.body)
+        free_from = self.next_oid
+        callee = self.new_frame(frame.depth + 1, receiver, method.body)
 
         uses: list[RuntimeVar] = []
         transfers: list[tuple[RuntimeVar, tuple[RuntimeVar, ...]]] = []
@@ -371,6 +382,7 @@ class _Interp:
 
         self.emit(Returned(s.id, tuple(copy_backs), _ordered(resets), returned_into,
                            _ordered(list(receiver.vars.values()))))
+        self.next_oid = free_from
         self.stmt_event(s, (returned_into,) if returned_into else (), uses)
 
 

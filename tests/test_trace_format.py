@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from functools import cache
 from pathlib import Path
 
@@ -29,23 +30,24 @@ TOOL = ROOT / "tools" / "upgrade_trace.py"
 # sha256 of the SAMPLE_SOURCE trace followed by the traces of generator seeds
 # 0..199, each with its own var table; together they hold all 7 event kinds,
 # copy-backs and returned_into
-CORPUS_DIGEST = "b340c38180122fa19f00ab88084e87414c480041cc71247561c12ea4636bb6e9"
+CORPUS_DIGEST = "328066ed0408f5aadc17bac0afb084e73cc80c25393544e9908b78ae3ac8f84d"
 
 # the same corpus in the format before it, every var spelled out
-SPELLED_DIGEST = "c5a4adb0d927778913ad4a0bd50b1be4a0824d90832bcd7e838f8c6fdc603ee8"
+SPELLED_DIGEST = "ebc70c054133b5ba0adaba6ff700850c03d04981306b8377f0183ef42803d710"
 
 # and in the format before CallEntered was flattened
-UNFLATTENED_DIGEST = "dd860ca6a3f8a6a77d854affa4a6c90a8723b03bb3a467efebf9679c183335a0"
+UNFLATTENED_DIGEST = "90a02960efb28315dd7ee341943dde9e3a5602530ee1e70fc3feb2010399b8f2"
 
 # the first CallEntered of SAMPLE_SOURCE with object formals (T3.add(T1, T2)):
-# the formals' members are new, their sources T1.a, T1.b, T2.a, T2.b are not
+# the formals' members are new, their sources T1.a, T1.b, T2.a, T2.b are not;
+# T1.get and T2.get both ran at depth 1, so share vars 2 and 3 for x and y
 CALL_ENTERED_LINE = (
     '{"call_site": 13, "callee": "test.add(test,test)", "event": "CallEntered", '
     '"transfers": '
     '[[{"display": "tp1.a", "kind": "member", "name": "a", "owner": 5}, [4]], '
     '[{"display": "tp1.b", "kind": "member", "name": "b", "owner": 5}, [5]], '
-    '[{"display": "tp2.a", "kind": "member", "name": "a", "owner": 6}, [8]], '
-    '[{"display": "tp2.b", "kind": "member", "name": "b", "owner": 6}, [9]]]}'
+    '[{"display": "tp2.a", "kind": "member", "name": "a", "owner": 6}, [6]], '
+    '[{"display": "tp2.b", "kind": "member", "name": "b", "owner": 6}, [7]]]}'
 )
 
 # the same call as written before CallEntered was flattened
@@ -63,6 +65,80 @@ OLD_CALL_ENTERED_LINE = (
     '"call_site": 13, "callee": {"cls": "test", "name": "add", '
     '"param_types": ["test", "test"]}, "event": "CallEntered"}'
 )
+
+# CALLS_SOURCE on input 3 as written when a local was owned by its frame's
+# serial (main 1, each call the next), so every call spelled out new vars
+SERIAL_OWNERS_CALLS_TRACE = (
+    '{"event": "InputConsumed", "id": 1, "value": 3}\n'
+    '{"defs": [{"display": "n", "kind": "local", "name": "n", "owner": 1}], "event": "StmtExecuted", "id": 1, "uses": []}\n'
+    '{"defs": [{"display": "i", "kind": "local", "name": "i", "owner": 1}], "event": "StmtExecuted", "id": 2, "uses": []}\n'
+    '{"defs": [], "event": "StmtExecuted", "id": 3, "uses": [1, 0]}\n'
+    '{"call_site": 4, "callee": "acc.f(int)", "event": "CallEntered", "transfers": [[{"display": "x", "kind": "local", "name": "x", "owner": 2}, [1]]]}\n'
+    '{"defs": [{"display": "t", "kind": "local", "name": "t", "owner": 2}], "event": "StmtExecuted", "id": 8, "uses": [2]}\n'
+    '{"event": "Warning", "id": 9, "message": "read of uninitialized o.s"}\n'
+    '{"defs": [{"display": "o.s", "kind": "member", "name": "s", "owner": 1}], "event": "StmtExecuted", "id": 9, "uses": [3, 4]}\n'
+    '{"call_site": 4, "copy_backs": [], "event": "Returned", "receiver_members": [4], "resets": [3, 2], "returned_into": null}\n'
+    '{"defs": [], "event": "StmtExecuted", "id": 4, "uses": [1]}\n'
+    '{"defs": [1], "event": "StmtExecuted", "id": 5, "uses": [1]}\n'
+    '{"defs": [], "event": "StmtExecuted", "id": 3, "uses": [1, 0]}\n'
+    '{"call_site": 4, "callee": "acc.f(int)", "event": "CallEntered", "transfers": [[{"display": "x", "kind": "local", "name": "x", "owner": 3}, [1]]]}\n'
+    '{"defs": [{"display": "t", "kind": "local", "name": "t", "owner": 3}], "event": "StmtExecuted", "id": 8, "uses": [5]}\n'
+    '{"defs": [4], "event": "StmtExecuted", "id": 9, "uses": [6, 4]}\n'
+    '{"call_site": 4, "copy_backs": [], "event": "Returned", "receiver_members": [4], "resets": [6, 5], "returned_into": null}\n'
+    '{"defs": [], "event": "StmtExecuted", "id": 4, "uses": [1]}\n'
+    '{"defs": [1], "event": "StmtExecuted", "id": 5, "uses": [1]}\n'
+    '{"defs": [], "event": "StmtExecuted", "id": 3, "uses": [1, 0]}\n'
+    '{"call_site": 4, "callee": "acc.f(int)", "event": "CallEntered", "transfers": [[{"display": "x", "kind": "local", "name": "x", "owner": 4}, [1]]]}\n'
+    '{"defs": [{"display": "t", "kind": "local", "name": "t", "owner": 4}], "event": "StmtExecuted", "id": 8, "uses": [7]}\n'
+    '{"defs": [4], "event": "StmtExecuted", "id": 9, "uses": [8, 4]}\n'
+    '{"call_site": 4, "copy_backs": [], "event": "Returned", "receiver_members": [4], "resets": [8, 7], "returned_into": null}\n'
+    '{"defs": [], "event": "StmtExecuted", "id": 4, "uses": [1]}\n'
+    '{"defs": [1], "event": "StmtExecuted", "id": 5, "uses": [1]}\n'
+    '{"defs": [], "event": "StmtExecuted", "id": 3, "uses": [1, 0]}\n'
+    '{"event": "LoopExited", "id": 3}\n'
+    '{"event": "OutputProduced", "id": 6, "value": 6}\n'
+    '{"defs": [], "event": "StmtExecuted", "id": 6, "uses": [4]}\n'
+    '{"event": "OutputProduced", "id": 7, "value": 3}\n'
+    '{"defs": [], "event": "StmtExecuted", "id": 7, "uses": [1]}\n'
+)
+
+# recursion with an object local (w) and, under it, sibling calls whose object
+# formals have other names (p in f, q in g): g's q takes the id the deeper f's
+# w had. Input: the recursion depth, then how often main starts it.
+RECURSIVE_SOURCE = """\
+class c {
+    int m;
+public:
+    int f(c p, int n) {
+        c w;
+        int r, s;
+        #1: w.m = p.m + n;
+        #2: r = 0;
+        #3: if (n > 0) {
+            #4: r = w.f(w, n - 1);
+            #5: s = w.g(w, n);
+            #6: r = r + s;
+        }
+        #7: return r + w.m;
+    }
+    int g(c q, int n) {
+        #8: m = q.m + n;
+        #9: return m;
+    }
+};
+
+void main() {
+    c o;
+    int k, n, t;
+    #10: cin >> n;
+    #11: cin >> t;
+    #12: while (t > 0) {
+        #13: k = o.f(o, n);
+        #14: t = t - 1;
+    }
+    #15: cout << k;
+}
+"""
 
 # the first Returned of SAMPLE_SOURCE (T1.get(p, q)): T1's members and the
 # callee's x and y have all been written before
@@ -278,3 +354,95 @@ def test_previous_format_reads_alike():
         first = {}
         for name, v in (nv for ev in parsed for nv in _named_vars(ev)):
             assert first.setdefault(v, v) is v, f"{v} in {name} is a second object"
+
+
+def test_trace_with_serial_owners_replays_alike(tmp_path, capsys):
+    """`owner` is an opaque int: a trace whose locals are owned by frame
+    serials, not call depths, replays to the same `check` output."""
+    src = tmp_path / "p.mini"
+    src.write_text(CALLS_SOURCE)
+    trace = tmp_path / "t.ndjson"
+    outputs = []
+    today = serialize_trace(run(load(CALLS_SOURCE), (3,)).events)
+    assert today != SERIAL_OWNERS_CALLS_TRACE
+    for text in (SERIAL_OWNERS_CALLS_TRACE, today):
+        trace.write_text(text)
+        outputs.append((main(["check", str(src), "--trace", str(trace)]),
+                        *capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0 and "criteria agree" in outputs[0][1]
+
+
+def vocabulary(source: str, inputs) -> tuple[set, set, str]:
+    """The distinct vars and distinct lines of a run's trace, and the trace."""
+    seen: dict = {}
+    lines = [to_line(ev, seen) for ev in run(load(source), inputs).events]
+    return set(seen), set(lines), "".join(lines)
+
+
+def test_calls_vocabulary_is_flat():
+    """Every call at one depth names the same locals, so the `calls` trace
+    has as many distinct vars and lines at n = 10^4 as at n = 10^2."""
+    for n in (100, 10000):
+        names, lines, _ = vocabulary(CALLS_SOURCE, (n,))
+        assert (len(names), len(lines)) == (5, 19), n
+
+
+def test_recursive_vocabulary_depends_on_depth_only(tmp_path, capsys):
+    """Object ids come back, under a new display too, and both engines still
+    agree; the vars a run names depend on the recursion depth, not on how
+    often main starts the recursion."""
+    src = tmp_path / "p.mini"
+    src.write_text(RECURSIVE_SOURCE)
+    counts = {}
+    for depth in (2, 4):
+        for starts in (1, 3):
+            assert main(["check", str(src), "--inputs", f"{depth},{starts}"]) == 0
+            assert "criteria agree" in capsys.readouterr().out
+            names, _, _ = vocabulary(RECURSIVE_SOURCE, (depth, starts))
+            counts[depth, starts] = len(names)
+            displays: dict[int, set[str]] = {}
+            for v in names:
+                if v.kind == "member":
+                    displays.setdefault(v.owner, set()).add(v.display)
+            assert any(len(d) > 1 for d in displays.values())
+    assert counts[2, 1] == counts[2, 3] < counts[4, 1] == counts[4, 3]
+
+
+PRINT_LOOP_SOURCE = """\
+void main() {
+    int n, i;
+    #1: cin >> n;
+    #2: i = 0;
+    #3: while (i < n) {
+        #4: cout << i;
+        #5: i = i + 1;
+    }
+}
+"""
+
+
+def parse_overhead(n: int) -> int:
+    """Peak bytes `parse_trace` allocates for PRINT_LOOP_SOURCE's trace at
+    input n beyond the events it returns and the trace's split lines."""
+    text = vocabulary(PRINT_LOOP_SOURCE, (n,))[2]
+    tracemalloc.start()
+    try:
+        lines = text.splitlines()
+        split = tracemalloc.get_traced_memory()[0]
+        del lines
+        tracemalloc.reset_peak()
+        events = parse_trace(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(events) == 4 * n + 5
+    return peak - kept - split
+
+
+def test_parse_cache_is_bounded_by_the_program():
+    """Each OutputProduced line holds a new value; caching it would cost a
+    dict entry per line, over 20 bytes. The decode-once cache keeps only
+    lines that name statements and vars, so its size does not follow n."""
+    small, large = parse_overhead(1000), parse_overhead(4000)
+    assert large - small < 4000 - 1000  # under a byte per added line

@@ -13,6 +13,11 @@ read with the trace reader and re-encoded with the trace writer, one var table
 each for the whole file, so each var is spelled out once and an index after
 that, and a record today's reader rejects is an error here too. A trace
 already in today's format comes out unchanged.
+
+How the interpreter numbers ``owner`` is not part of the format: the reader
+takes it as an opaque int. A trace written when locals were owned by frame
+serials and objects never reused an id replays as it is and needs no rewrite
+here; it only names more distinct vars.
 """
 
 from __future__ import annotations
