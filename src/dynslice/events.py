@@ -18,11 +18,10 @@ counted from 0 in order of first appearance, each line read left to right.
 ``to_line`` builds a line from the event class's fields, encoding each value
 by its type, and writes exactly the bytes of ``json.dumps(...,
 sort_keys=True)`` of that record: strings ASCII-escaped, ``", "`` and
-``": "`` as separators. Tuples keep the order they were emitted in; the
-interpreter fixes that order, sorting each var tuple by
-``RuntimeVar.sort_key``; transfers and copy-backs keep formal and member
-declaration order.
-``from_json`` is the schema that checks a line read back in. A spelled-out
+``": "`` as separators. Tuples keep the order they were emitted in.
+``from_json`` is the schema that checks a line read back in. It reads the
+fields in the order ``to_line`` writes them, each decoded by its name from
+one table, so a var is always spelled out before its index. A spelled-out
 var it has met before is the same object and takes no new index, so a trace
 that spells out every var, the format before indices, reads the same.
 ``validate_trace`` checks a parsed trace against the program it is replayed
@@ -56,9 +55,6 @@ class RuntimeVar(NamedTuple):
     owner: int  # opaque: call depth | object id as the interpreter numbers them
     name: str
     display: str
-
-    def sort_key(self):
-        return (self.kind, self.owner, self.name)
 
 
 @dataclass(frozen=True)
@@ -150,33 +146,35 @@ def _rvs_from(items, interned: dict, seen: list) -> tuple[RuntimeVar, ...]:
 def from_json(d: dict, interned: dict, seen: list) -> ExecEvent:
     """The event a decoded line holds. Vars are shared through `interned`,
     (kind, owner, name, display) -> RuntimeVar, as the interpreter shares them,
-    and `seen` lists them by index. Fields are read in sorted-key order, the
-    order `to_line` writes them, so a var is spelled out before its index."""
+    and `seen` lists them by index. Fields are read in `_line_parts`' order,
+    the sorted-key order `to_line` writes them, so a var is spelled out before
+    its index; each is decoded by its name, in `_DECODE`."""
     kind = d.get("event") if isinstance(d, dict) else None
-    if kind == "StmtExecuted":
-        defs = _rvs_from(d["defs"], interned, seen)
-        return StmtExecuted(d["id"], defs, _rvs_from(d["uses"], interned, seen))
-    if kind == "CallEntered":
-        return CallEntered(d["call_site"], d["callee"], tuple([
-            (_rv_from(f, interned, seen), _rvs_from(srcs, interned, seen))
-            for f, srcs in d["transfers"]]))
-    if kind == "Returned":
-        copy_backs = tuple([(_rv_from(f, interned, seen), _rv_from(a, interned, seen))
-                            for f, a in d["copy_backs"]])
-        receiver_members = _rvs_from(d["receiver_members"], interned, seen)
-        resets = _rvs_from(d["resets"], interned, seen)
-        into = d["returned_into"]
-        into = None if into is None else _rv_from(into, interned, seen)
-        return Returned(d["call_site"], copy_backs, resets, into, receiver_members)
-    if kind == "LoopExited":
-        return LoopExited(d["id"])
-    if kind == "InputConsumed":
-        return InputConsumed(d["id"], d["value"])
-    if kind == "OutputProduced":
-        return OutputProduced(d["id"], d["value"])
-    if kind == "Warning":
-        return Warning(d["id"], d["message"])
-    raise ValueError(f"malformed trace record: {d!r}")
+    cls = _EVENTS.get(kind) if type(kind) is str else None
+    if cls is None:
+        raise ValueError(f"malformed trace record: {d!r}")
+    return cls(**{n: _DECODE.get(n, _plain)(d[n], interned, seen)
+                  for n in _line_parts(cls)[1]})
+
+
+_EVENTS = {cls.__name__: cls for cls in ExecEvent.__subclasses__()}
+
+
+def _plain(x, interned: dict, seen: list):
+    return x
+
+
+# how each field that holds vars is read; any other field is its JSON value
+_DECODE = {
+    "defs": _rvs_from, "uses": _rvs_from, "resets": _rvs_from,
+    "receiver_members": _rvs_from,
+    "transfers": lambda x, interned, seen: tuple([
+        (_rv_from(f, interned, seen), _rvs_from(srcs, interned, seen)) for f, srcs in x]),
+    "copy_backs": lambda x, interned, seen: tuple([
+        (_rv_from(f, interned, seen), _rv_from(a, interned, seen)) for f, a in x]),
+    "returned_into": lambda x, interned, seen:
+        None if x is None else _rv_from(x, interned, seen),
+}
 
 
 def _encode(x, seen: dict) -> str:
@@ -236,9 +234,9 @@ def serialize_trace(events) -> str:
     return "".join([to_line(ev, seen) for ev in events])
 
 
-# the events that name only nodes and vars, so have as many distinct lines as
-# a program has nodes and vars by call depth, whatever the run's values
-_PROGRAM_BOUND = {StmtExecuted, CallEntered, Returned, LoopExited}
+# the payload field of each event that carries a value, and the types it may hold
+_PAYLOADS = {InputConsumed: ("value", (int,)), OutputProduced: ("value", (int, str)),
+             Warning: ("message", (str,))}
 
 
 def parse_trace(text: str) -> list[ExecEvent]:
@@ -248,8 +246,8 @@ def parse_trace(text: str) -> list[ExecEvent]:
     and a var spelled out again takes no new index, so the line's indices and
     vars name what they named the first time. Vars name what is live, a local
     by call depth, so calls at one depth repeat their lines as loops do, and
-    those are decoded once. Only `_PROGRAM_BOUND` lines are kept for that,
-    so the cache is bounded by the program, not by the run's values."""
+    those are decoded once. Only lines without a `_PAYLOADS` value are kept
+    for that, so the cache is bounded by the program, not by the run's values."""
     events = []
     interned: dict = {}
     seen: list = []
@@ -263,15 +261,10 @@ def parse_trace(text: str) -> list[ExecEvent]:
                 ev = from_json(json.loads(line), interned, seen)
             except (ValueError, KeyError, TypeError) as exc:
                 raise ValueError(f"malformed trace at line {lineno}: {exc}") from exc
-            if type(ev) in _PROGRAM_BOUND:
+            if type(ev) not in _PAYLOADS:  # names only nodes and vars
                 read[line] = ev
         events.append(ev)
     return events
-
-
-# the payload field of each event that carries a value, and the types it may hold
-_PAYLOADS = {InputConsumed: ("value", (int,)), OutputProduced: ("value", (int, str)),
-             Warning: ("message", (str,))}
 
 
 def validate_trace(events: list[ExecEvent], graph: Cdg) -> None:

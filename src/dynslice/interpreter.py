@@ -13,18 +13,23 @@ Semantics:
 - The receiver is bound by reference, so member writes inside a method are
   writes to the caller's object.
 
-Each expression is walked once: `eval` computes its value and collects the
-variables it reads, in read order, as the statement's uses. `locate` is the
-one place that maps a bound name to its storage and RuntimeVar.
+There is one store, `values`, keyed by RuntimeVar; a var absent from it is
+uninitialized. A frame maps each declared name to its var, or an object's
+name to its member -> var table, and `locate` is the one place that maps a
+bound name to its var. Each expression is walked once: `eval` computes its
+value and collects the variables it reads, in read order, as the statement's
+uses. A call is carried out with the lists it emits and nothing else: object
+formals are filled from `transfers`, copy-restore follows `copy_backs`, the
+callee's values are dropped by `resets`, and the call site's uses are the
+sources in `transfers`.
 
 A RuntimeVar names a location by what is live: an int local by its frame's
 call depth (0 for main, +1 per open call), a member by its object's id. Main's
 objects keep fresh ids; a method frame's objects take the lowest free ids and
 free them once its Returned, where both engines reset them, is emitted. Frames
 close in reverse order, so the free ids are those above a mark, and live ids
-keep the order their objects were made in. Each var is built once per run:
-frames at one depth share one table of locals, and member vars are interned.
-Equal vars in one run are therefore identical, so the slicer's and the
+keep the order their objects were made in. Vars are interned as a frame or
+object is made, so equal vars in one run are identical: the slicer's and the
 oracle's dicts keyed by them match on identity, and no var is built per read.
 
 Event order around a call: CallEntered (the callee's entry key and the
@@ -42,7 +47,6 @@ is then an empty list, so no trace-sized structure is kept.
 from __future__ import annotations
 
 import operator
-from collections import defaultdict
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -104,26 +108,11 @@ class _ReturnSignal(Exception):
 
 
 @dataclass
-class ObjectVal:
-    oid: int
-    vars: dict[str, RuntimeVar]  # member -> its var, in declaration order
-    members: dict[str, int] = field(default_factory=dict)  # absent = uninitialized
-
-
-@dataclass
 class Frame:
     depth: int
-    vars: dict[str, RuntimeVar]  # int local -> its var, shared by frames at this depth
-    receiver: ObjectVal | None = None
-    locals: dict[str, "int | ObjectVal | None"] = field(default_factory=dict)
-
-    def bind(self, name: str, value: int | None) -> RuntimeVar:
-        """Make the int local `name` with `value`; return its RuntimeVar."""
-        self.locals[name] = value
-        var = self.vars.get(name)
-        if var is None:
-            var = self.vars[name] = RuntimeVar("local", self.depth, name, name)
-        return var
+    receiver: dict[str, RuntimeVar] | None = None  # member -> var
+    # int local -> its var, object -> its member -> var table
+    names: dict[str, "RuntimeVar | dict[str, RuntimeVar]"] = field(default_factory=dict)
 
 
 @dataclass
@@ -175,54 +164,54 @@ class _Interp:
         self.outputs: list[int | str] = []
         self.next_oid = 0  # the ids above it are free
         self.members = {c.name: c.members for c in program.classes}
-        self.frame_vars: dict[int, dict[str, RuntimeVar]] = defaultdict(dict)  # by depth
-        self.member_vars: dict[RuntimeVar, RuntimeVar] = {}
+        self.vars: dict[RuntimeVar, RuntimeVar] = {}  # interned
+        self.values: dict[RuntimeVar, int] = {}  # absent = uninitialized
 
-    def new_frame(self, depth: int, receiver: ObjectVal | None, body: list[Stmt]) -> Frame:
-        frame = Frame(depth, self.frame_vars[depth], receiver)
+    def var(self, kind: str, owner: int, name: str, display: str) -> RuntimeVar:
+        """The one RuntimeVar with these fields in this run."""
+        var = RuntimeVar(kind, owner, name, display)
+        return self.vars.setdefault(var, var)
+
+    def new_frame(self, depth: int, receiver: dict[str, RuntimeVar] | None,
+                  body: list[Stmt]) -> Frame:
+        frame = Frame(depth, receiver)
         # declarations are procedure-scoped; objects exist from frame entry
         for s in _decls(body):
             for name in s.names:
-                if s.decl_type == "int":
-                    frame.bind(name, None)
-                else:
-                    frame.locals[name] = self.new_object(s.decl_type, name)
+                frame.names[name] = (self.var("local", depth, name, name)
+                                     if s.decl_type == "int"
+                                     else self.new_object(s.decl_type, name))
         return frame
 
-    def new_object(self, cls: str, var_name: str) -> ObjectVal:
+    def new_object(self, cls: str, var_name: str) -> dict[str, RuntimeVar]:
+        """A fresh object's member -> var table, in declaration order."""
         self.next_oid += 1
-        oid = self.next_oid
-        vars = {}
-        for m in self.members[cls]:
-            var = RuntimeVar("member", oid, m, f"{var_name}.{m}")
-            vars[m] = self.member_vars.setdefault(var, var)
-        return ObjectVal(oid, vars)
+        return {m: self.var("member", self.next_oid, m, f"{var_name}.{m}")
+                for m in self.members[cls]}
 
     # -- reads, writes and evaluation ----------------------------------------
 
-    def locate(self, name: Name, frame: Frame) -> tuple[dict, str, RuntimeVar]:
-        """Storage dict, key and RuntimeVar of a bound int-valued Name."""
+    def locate(self, name: Name, frame: Frame) -> RuntimeVar:
+        """The RuntimeVar of a bound int-valued Name."""
         if name.binding == "int_local":
-            return frame.locals, name.base, frame.vars[name.base]
+            return frame.names[name.base]
         if name.binding == "recv_member":
-            obj, member = frame.receiver, name.base
-        elif name.binding == "obj_member":
-            obj, member = frame.locals[name.base], name.member
-        else:
-            raise ValueError(f"object {name.base!r} read as a value")
-        return obj.members, member, obj.vars[member]
+            return frame.receiver[name.base]
+        if name.binding == "obj_member":
+            return frame.names[name.base][name.member]
+        raise ValueError(f"object {name.base!r} read as a value")
 
     def write(self, name: Name, frame: Frame, value: int) -> RuntimeVar:
-        store, key, var = self.locate(name, frame)
-        store[key] = value
+        var = self.locate(name, frame)
+        self.values[var] = value
         return var
 
     def eval(self, e: Expr, frame: Frame, at: int, uses: list[RuntimeVar]) -> int:
         """Value of an int expression; appends each variable read to `uses`."""
         if isinstance(e, Name):
-            store, key, var = self.locate(e, frame)
+            var = self.locate(e, frame)
             uses.append(var)
-            value = store.get(key)  # None or absent = uninitialized
+            value = self.values.get(var)  # absent = uninitialized
             if value is None:
                 shown = repr(var.display) if var.kind == "local" else var.display
                 self.emit(Warning(at, f"read of uninitialized {shown}"))
@@ -317,37 +306,33 @@ class _Interp:
     # -- calls ---------------------------------------------------------------
 
     def exec_call(self, s: Call, frame: Frame) -> None:
-        receiver = frame.locals[s.receiver.base]
+        receiver = frame.names[s.receiver.base]
         method = s.resolved
+        values = self.values
         free_from = self.next_oid
         callee = self.new_frame(frame.depth + 1, receiver, method.body)
 
-        uses: list[RuntimeVar] = []
         transfers: list[tuple[RuntimeVar, tuple[RuntimeVar, ...]]] = []
         copy_backs: list[tuple[RuntimeVar, RuntimeVar]] = []
-        write_backs: list[tuple[Name, str]] = []  # (actual lvalue, formal name)
         for f, a in zip(method.formals, s.args):
             if f.type == "int":
                 arg_vars: list[RuntimeVar] = []
-                f_var = callee.bind(f.name, self.eval(a, frame, s.id, arg_vars))
-                uses.extend(arg_vars)
-                transfers.append((f_var, tuple(arg_vars)))
-                if f.by_ref:
-                    # a by-reference actual is a single variable
-                    copy_backs.append((f_var, arg_vars[0]))
-                    write_backs.append((a, f.name))
+                value = self.eval(a, frame, s.id, arg_vars)
+                f_var = callee.names[f.name] = self.var("local", callee.depth, f.name, f.name)
+                values[f_var] = value
+                pairs = [(f_var, tuple(arg_vars))]
             else:
-                actual_obj = frame.locals[a.base]
-                copy = self.new_object(f.type, f.name)
-                copy.members = dict(actual_obj.members)
-                callee.locals[f.name] = copy
-                pairs = [(f_var, (actual_obj.vars[m],))
-                         for m, f_var in copy.vars.items()]
-                uses.extend(src for _, (src,) in pairs)
-                transfers.extend(pairs)
-                if f.by_ref:
-                    copy_backs.extend((f_var, src) for f_var, (src,) in pairs)
-                    write_backs.append((a, f.name))
+                actual = frame.names[a.base]
+                callee.names[f.name] = copy = self.new_object(f.type, f.name)
+                pairs = [(f_var, (actual[m],)) for m, f_var in copy.items()]
+                # an object formal starts as a member-wise copy of its actual
+                for f_var, (src,) in pairs:
+                    if src in values:
+                        values[f_var] = values[src]
+            transfers.extend(pairs)
+            if f.by_ref:
+                # a by-reference actual is a single variable
+                copy_backs.extend((f_var, srcs[0]) for f_var, srcs in pairs)
 
         self.emit(CallEntered(s.id, entry_key(s.receiver_cls, method),
                               tuple(transfers)))
@@ -358,13 +343,12 @@ class _Interp:
         except _ReturnSignal as sig:
             returned = sig.value
 
-        # by-ref copy-restore: write the formal's final value back
-        for a, fname in write_backs:
-            formal_val = callee.locals[fname]
-            if isinstance(formal_val, ObjectVal):
-                frame.locals[a.base].members = dict(formal_val.members)
+        # by-ref copy-restore: the actual takes the formal's final value
+        for f_var, a_var in copy_backs:
+            if f_var in values:
+                values[a_var] = values[f_var]
             else:
-                self.write(a, frame, 0 if formal_val is None else formal_val)
+                values.pop(a_var, None)
 
         returned_into = None
         if s.assign_to is not None:
@@ -374,25 +358,29 @@ class _Interp:
             returned_into = self.write(s.assign_to, frame, returned)
 
         resets: list[RuntimeVar] = []
-        for name, value in callee.locals.items():
-            if isinstance(value, ObjectVal):
-                resets.extend(value.vars.values())
+        for bound in callee.names.values():
+            if type(bound) is dict:
+                resets.extend(bound.values())
             else:
-                resets.append(callee.vars[name])
+                resets.append(bound)
+        resets = _ordered(resets)
+        for var in resets:
+            values.pop(var, None)
 
-        self.emit(Returned(s.id, tuple(copy_backs), _ordered(resets), returned_into,
-                           _ordered(list(receiver.vars.values()))))
+        self.emit(Returned(s.id, tuple(copy_backs), resets, returned_into,
+                           _ordered(list(receiver.values()))))
         self.next_oid = free_from
-        self.stmt_event(s, (returned_into,) if returned_into else (), uses)
+        self.stmt_event(s, (returned_into,) if returned_into else (),
+                        [src for _, srcs in transfers for src in srcs])
 
 
 def _ordered(vs: list[RuntimeVar]) -> tuple[RuntimeVar, ...]:
-    """The distinct vars of `vs` by RuntimeVar.sort_key. Vars are interned, so
-    equal vars are the same object and identity de-duplicates them."""
+    """The distinct vars of `vs`, sorted. Vars are interned, so equal vars are
+    the same object and identity de-duplicates them."""
     if len(vs) > 1:
         vs = {id(v): v for v in vs}.values()
         if len(vs) > 1:
-            return tuple(sorted(vs, key=RuntimeVar.sort_key))
+            return tuple(sorted(vs))
     return tuple(vs)
 
 

@@ -7,8 +7,8 @@ reachability. Deliberately unbounded in trace length; test-only.
 Graph shape:
 - Occurrence nodes carry the statement id as payload. Data edges point to the
   node currently explaining each used variable; the control edge points to
-  the governing test's latest occurrence, or inside a call to the frame
-  context node.
+  the governing test's latest occurrence in the same activation, or inside a
+  call to the frame context node.
 - A frame context node per call (payload: the call site id) links to the call
   site's governing test occurrence and the caller's frame context; its
   backward closure is exactly the ActiveCallSlice.
@@ -54,7 +54,8 @@ class _Builder:
         self.cdg = cdg
         self.ddg = Ddg()
         self.last_def: dict[RuntimeVar, int] = {}
-        self.last_occ: dict[int, int] = {}
+        self.last_occ: dict[int, int] = {}  # test -> its latest occurrence in this frame
+        self.saved_occ: list[dict[int, int]] = []  # the callers' last_occ
         self.frame_ctx: list[int | None] = [None]
         self.pending_ret: list[int | None] = [None]
 
@@ -107,6 +108,8 @@ class _Builder:
             preds.append(ctrl_occ)
         fc = self.add(u, preds)
         self.frame_ctx.append(fc)
+        self.saved_occ.append(self.last_occ)
+        self.last_occ = {}
         self.pending_ret.append(None)
         for f_var, sources in ev.transfers:
             spreds = [self.last_def[s] for s in sources if s in self.last_def]
@@ -117,6 +120,7 @@ class _Builder:
         u = ev.call_site
         ret_occ = self.pending_ret.pop()
         self.frame_ctx.pop()
+        self.last_occ = self.saved_occ.pop()
         for f_var, a_var in ev.copy_backs:
             if f_var in self.last_def:
                 self.last_def[a_var] = self.last_def[f_var]

@@ -1,10 +1,12 @@
 """Streaming dynamic slicer.
 
 Consumes the execution event stream and maintains the live slice state:
-ActiveDataSlice per runtime variable, ActiveControlSlice per test node,
-ActiveCallSlice with its stack, ActiveReturnSlice (set when a Return
-statement executes, cleared on Returned), and the accumulated
-DyanSlice table with last-execution semantics. The table is keyed by
+ActiveDataSlice per runtime variable, ActiveControlSlice per test node of
+the running activation (a caller's table is saved on CallEntered and
+restored on Returned, so a recursive call's tests cannot change its
+caller's control slices), ActiveCallSlice with its stack, ActiveReturnSlice
+(set when a Return statement executes, cleared on Returned), and the
+accumulated DyanSlice table with last-execution semantics. The table is keyed by
 (node, display name), exactly what `slice_of` and `criteria()` look up, so a
 node that runs in many frames keeps one entry per name rather than one per
 activation. No event history is kept and callee locals die with their frame,
@@ -20,8 +22,9 @@ ids (`ids_of`). Ints are immutable: a DyanSlice entry is a snapshot taken
 when its node executed and later state changes cannot leak into it. Each
 node's kind and governing test are looked up in tables built once per state.
 State changes size only through `_put`/`_drop` (the keyed stores
-active_data, active_control and dyn_table), `_set_call`/`_set_return` and
-the call-stack push and pop; each keeps the running `cardinality()` in step.
+active_data, active_control and dyn_table), `_set_call`/`_set_return`, the
+call-stack push and pop and the swap of control tables at a call's ends;
+each keeps the running `cardinality()` in step.
 """
 
 from __future__ import annotations
@@ -59,6 +62,8 @@ class SliceState:
     active_return: int = 0
     # (node, display name) -> DyanSlice of the node's last execution
     dyn_table: dict[tuple[int, str], int] = field(default_factory=dict)
+    # each open call's caller's active_control, saved at CallEntered
+    control_stack: list[dict[int, int]] = field(default_factory=list, init=False)
     events: int = 0
     updates: int = 0
     peak_cardinality: int = 0
@@ -120,6 +125,8 @@ class SliceState:
         self.call_stack.append(self.active_call)
         self._card += self.active_call.bit_count()
         self._set_call(1 << u | self.active_call | ctrl)
+        self.control_stack.append(self.active_control)
+        self.active_control = {}
         for f_var, sources in ev.transfers:
             ads = 0
             for src in sources:
@@ -128,6 +135,10 @@ class SliceState:
 
     def on_return(self, ev: Returned) -> None:
         u = ev.call_site
+        # the callee's tests govern only its own activation
+        for s in self.active_control.values():
+            self._card -= s.bit_count()
+        self.active_control = self.control_stack.pop()
         # by-ref copy-back: the actual inherits the formal's slice exactly
         for f_var, a_var in ev.copy_backs:
             self._put(self.active_data, a_var, self.active_data.get(f_var, 0))
@@ -183,7 +194,8 @@ class SliceState:
     def recount(self) -> int:
         """cardinality() recomputed from scratch (consistency check)."""
         total = self.active_call.bit_count() + self.active_return.bit_count()
-        for store in (self.active_data, self.active_control, self.dyn_table):
+        for store in (self.active_data, self.active_control, self.dyn_table,
+                      *self.control_stack):
             for s in store.values():
                 total += s.bit_count()
         for s in self.call_stack:

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
-from dynslice import oracle
+from dynslice import build_cdg, init, load, oracle, run, serialize_trace
 from dynslice.cli import main
+from dynslice.events import Warning
 from dynslice.fixtures import (
     CALLS_SOURCE,
     CONST_LOOP_SOURCE,
@@ -260,6 +262,31 @@ def test_trace_partial_on_runtime_error(loop_path, capsys):
 def test_check_agrees_on_fixture(sample_path, capsys):
     assert main(["check", sample_path, "--inputs", "1,2,3,4"]) == 0
     assert capsys.readouterr().out.strip() == "OK: 56 criteria agree"
+
+
+# An object by-reference formal: copy-restore writes every member back, and
+# one the callee left uninitialized stays so. The trace is pinned by its sha256.
+BYREF_OBJECT_SOURCE = (
+    "class c { int a, b; public: void set(c &p, int v) { #6: p.a = v + a; } }; "
+    "void main() { c o, r; int x; #1: cin >> x; #2: r.a = 2; #3: r.set(o, x); "
+    "#4: cout << o.a; #5: cout << o.b; }")
+BYREF_OBJECT_TRACE = "12e6a1167b5939b7b6406c2bdf63c0fabe79a5961159d311faf0b734eaa42bdf"
+
+
+def test_object_by_reference_formal(tmp_path, capsys):
+    program = load(BYREF_OBJECT_SOURCE)
+    result = run(program, (5,))
+    assert result.ok and result.outputs == [7, 0]
+    warnings = [e for e in result.events if isinstance(e, Warning)]
+    assert warnings == [Warning(5, "read of uninitialized o.b")]
+    trace = serialize_trace(result.events).encode()
+    assert hashlib.sha256(trace).hexdigest() == BYREF_OBJECT_TRACE
+    state = init(build_cdg(program)).consume(result.events)
+    assert state.slice_of_object("o") == {1, 2, 3, 6}
+    path = tmp_path / "byref_object.mini"
+    path.write_text(BYREF_OBJECT_SOURCE)
+    assert main(["check", str(path), "--inputs", "5"]) == 0
+    assert capsys.readouterr().out == "OK: 12 criteria agree\n"
 
 
 def test_check_builds_dependence_graph_once(sample_path, capsys, monkeypatch):

@@ -79,3 +79,36 @@ def test_graph_grows_with_trace_length(loop_program, loop_cdg):
     deltas = [b - a for a, b in zip(sizes, sizes[1:])]
     # one extra iteration adds a fixed number of occurrence nodes
     assert deltas[1] == 2 * deltas[0] and deltas[2] == 2 * deltas[1]
+
+
+# Recursion: a test's control slice belongs to the activation that ran it, so
+# a callee's `if` test or LoopExited must not reach its caller's slices. Both
+# programs are unlabeled, so ids are numbered in textual order. In the first,
+# the callee's loop exit once dropped the caller's loop test; in the second,
+# the recursive call 2 on the copy `p` once leaked into `q.m`.
+RECURSIVE_LOOP = (
+    "class c { int m; public: void f(c p, int n) { int k; k = n; while (k > 0) "
+    "{ k = k - 1; if (k > 1) { p.f(p, 1); } m = m + k; } } }; void main() "
+    "{ c o, q; int n; cin >> n; o.m = 0; q.f(o, n); cout << q.m; }")
+RECURSIVE_IF = (
+    "class c { int m; public: void f(c p, int n) { if (n > 0) { p.f(p, n - 1); "
+    "m = m + 1; } } }; void main() { c o, q; int n; cin >> n; q.m = 0; "
+    "q.f(o, n); cout << q.m; }")
+
+
+@pytest.mark.parametrize("source,inputs,criterion,expected", [
+    (RECURSIVE_LOOP, (4,), (6, "q.m"), {1, 2, 3, 6, 7, 9}),
+    (RECURSIVE_IF, (2,), (3, "q.m"), {1, 3, 4, 5, 6}),
+], ids=["loop-exit", "if-test"])
+def test_control_slice_belongs_to_its_activation(source, inputs, criterion, expected):
+    program = load(source)
+    graph = build_cdg(program)
+    events = run(program, inputs).events
+    state = init(graph).consume(events)
+    ddg = build_ddg(events, graph)
+    assert state.slice_of(*criterion) == backward_slice(ddg, *criterion) == expected
+    assert ddg.executed_criteria() == state.criteria()
+    for c in state.criteria():
+        assert state.slice_of(*c) == backward_slice(ddg, *c), c
+    assert state.recount() == state.cardinality()
+    assert not state.control_stack
