@@ -15,7 +15,7 @@ import sys
 
 from . import generator, interpreter, oracle, slicer
 from .cdg import Cdg, build_cdg, export_dot, export_json
-from .events import ExecEvent, parse_trace, to_line, validate_trace
+from .events import ExecEvent, line_writer, parse_trace, validate_trace
 from .frontend import SourceError, load
 from .slicer import CriterionError
 from .syntax import Program, pretty
@@ -152,11 +152,12 @@ def cmd_cdg(args: argparse.Namespace) -> int:
 def cmd_trace(args: argparse.Namespace) -> int:
     text, inputs = _program(args)
     # lines are written only once the whole run serialized, so an event that
-    # cannot be serialized leaves stdout empty rather than truncated
+    # cannot be serialized leaves stdout empty rather than truncated; a
+    # repeated payload-free event is its index, so the held lines stay small
     lines: list[str] = []
-    seen: dict = {}
+    write = line_writer()
     result = interpreter.run(load(text), inputs, _budget(args),
-                             sink=lambda ev: lines.append(to_line(ev, seen)))
+                             sink=lambda ev: lines.append(write(ev)))
     sys.stdout.writelines(lines)
     if not result.ok:
         print(f"error: {result.message}", file=sys.stderr)

@@ -10,11 +10,12 @@ key and parameter transfers), Returned (copy-backs, resets, the assigned
 var, the receiver's members), LoopExited, InputConsumed, OutputProduced and
 Warning. A return's slice is read from the Return statement's StmtExecuted.
 
-A trace line is one JSON object: ``"event"`` holds the class name and every
-other key is a dataclass field of that event, with keys sorted. A RuntimeVar
-is spelled out as an object of its fields the first time the trace names
-it, and after that is a bare int: its index among the trace's distinct vars,
-counted from 0 in order of first appearance, each line read left to right.
+An event written in full is one JSON object on its line: ``"event"`` holds
+the class name and every other key is a dataclass field of that event, with
+keys sorted. A RuntimeVar is spelled out as an object of its fields the first
+time the trace names it, and after that is a bare int: its index among the
+trace's distinct vars, counted from 0 in order of first appearance, each line
+read left to right.
 ``to_line`` builds a line from the event class's fields, encoding each value
 by its type, and writes exactly the bytes of ``json.dumps(...,
 sort_keys=True)`` of that record: strings ASCII-escaped, ``", "`` and
@@ -26,6 +27,16 @@ var it has met before is the same object and takes no new index, so a trace
 that spells out every var, the format before indices, reads the same.
 ``validate_trace`` checks a parsed trace against the program it is replayed
 on, so that neither engine meets an event it cannot place.
+
+Events repeat as vars do, one level up. ``line_writer`` makes the lines of one
+trace: an event is written in full through ``to_line`` the first time the trace
+meets it, and a payload-free event (one without a ``_PAYLOADS`` value) that it
+has written before is the bare int line ``N``, its index among the payload-free
+events written so far, counted from 0. InputConsumed, OutputProduced and
+Warning carry run values and are always written in full. ``parse_trace``
+numbers each new payload-free line it reads the same way, so an index is a
+line already decoded. A trace that writes every event in full, the format
+before back-references, reads the same.
 """
 
 from __future__ import annotations
@@ -34,7 +45,7 @@ import json
 from dataclasses import dataclass, fields
 from functools import cache
 from json.encoder import encode_basestring_ascii
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .cdg import Cdg
 
@@ -229,14 +240,36 @@ def to_line(ev: ExecEvent, seen: dict) -> str:
     return "".join(parts)
 
 
-def serialize_trace(events) -> str:
-    seen: dict = {}
-    return "".join([to_line(ev, seen) for ev in events])
-
-
 # the payload field of each event that carries a value, and the types it may hold
 _PAYLOADS = {InputConsumed: ("value", (int,)), OutputProduced: ("value", (int, str)),
              Warning: ("message", (str,))}
+
+
+def line_writer() -> Callable[[ExecEvent], str]:
+    """The line maker of one trace: each call gives the next event's line.
+    A payload-free event it has written before is its index among the
+    payload-free events written so far, ``"N\\n"``; any other event is written
+    in full by `to_line`, with one var table for the trace. Events are frozen,
+    so equal events hash alike: the event table maps each payload-free event
+    written so far to its back-reference line."""
+    seen: dict = {}
+    written: dict[ExecEvent, str] = {}
+
+    def line(ev: ExecEvent) -> str:
+        if type(ev) in _PAYLOADS:
+            return to_line(ev, seen)
+        ref = written.get(ev)
+        if ref is not None:
+            return ref
+        text = to_line(ev, seen)
+        written[ev] = f"{len(written)}\n"
+        return text
+
+    return line
+
+
+def serialize_trace(events) -> str:
+    return "".join(map(line_writer(), events))
 
 
 def parse_trace(text: str) -> list[ExecEvent]:
@@ -247,22 +280,30 @@ def parse_trace(text: str) -> list[ExecEvent]:
     vars name what they named the first time. Vars name what is live, a local
     by call depth, so calls at one depth repeat their lines as loops do, and
     those are decoded once. Only lines without a `_PAYLOADS` value are kept
-    for that, so the cache is bounded by the program, not by the run's values."""
+    for that, so the cache is bounded by the program, not by the run's values.
+    The i-th new such line is also kept under the text ``str(i)``, so a
+    back-reference `line_writer` wrote is a hit too; any other int line is
+    malformed."""
     events = []
     interned: dict = {}
     seen: list = []
     read: dict[str, ExecEvent] = {}
+    kept = 0  # new payload-free lines so far
     for lineno, line in enumerate(text.splitlines(), start=1):
         ev = read.get(line)
         if ev is None:
             if not line.strip():
                 continue
             try:
-                ev = from_json(json.loads(line), interned, seen)
+                d = json.loads(line)
+                if type(d) is int:
+                    raise ValueError(f"no line {d}: {kept} read so far")
+                ev = from_json(d, interned, seen)
             except (ValueError, KeyError, TypeError) as exc:
                 raise ValueError(f"malformed trace at line {lineno}: {exc}") from exc
             if type(ev) not in _PAYLOADS:  # names only nodes and vars
-                read[line] = ev
+                read[line] = read[str(kept)] = ev
+                kept += 1
         events.append(ev)
     return events
 

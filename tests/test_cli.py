@@ -5,9 +5,9 @@ import json
 
 import pytest
 
-from dynslice import build_cdg, init, load, oracle, run, serialize_trace
+from dynslice import build_cdg, init, load, oracle, parse_trace, run, serialize_trace
 from dynslice.cli import main
-from dynslice.events import Warning
+from dynslice.events import LoopExited, StmtExecuted, Warning
 from dynslice.fixtures import (
     CALLS_SOURCE,
     CONST_LOOP_SOURCE,
@@ -369,6 +369,13 @@ _RETURNED = ('{"event": "Returned", "call_site": 4, "copy_backs": [], "resets": 
     (_STMT % (1, "true"), "malformed trace at line 1"),
     (_STMT % (1, "1.0"), "malformed trace at line 1"),
     (_STMT % (1, '"0"'), "malformed trace at line 1"),
+    # a back-reference must be the index of a payload-free line already read
+    (_STMT % (1, "") + "\n-1", "malformed trace at line 2: no line -1: 1 read so far"),
+    (_STMT % (1, "") + "\n01", "malformed trace at line 2"),
+    (_STMT % (1, "") + "\n1.0", "malformed trace at line 2"),
+    (_STMT % (1, "") + "\ntrue", "malformed trace at line 2"),
+    (_STMT % (1, "") + "\n1", "malformed trace at line 2: no line 1: 1 read so far"),
+    ("0", "malformed trace at line 1: no line 0: 0 read so far"),
 ], ids=["owner-list", "id-string", "unknown-id", "lone-returned",
         "before-test", "loop-exit-off-loop", "foreign-callee",
         "old-about-to-return", "old-call-bindings", "call-at-cin",
@@ -376,7 +383,8 @@ _RETURNED = ('{"event": "Returned", "call_site": 4, "copy_backs": [], "resets": 
         "output-float", "output-method-node-in-main", "warning-int-message",
         "warning-id-string", "warning-before-test", "index-past-seen",
         "index-none-seen", "index-negative", "index-bool", "index-float",
-        "index-string"])
+        "index-string", "backref-negative", "backref-leading-zero",
+        "backref-float", "backref-bool", "backref-past-read", "backref-none-read"])
 def test_check_rejects_trace_of_another_program(tmp_path, capsys, record, message):
     src = tmp_path / "calls.mini"
     src.write_text(CALLS_SOURCE)
@@ -395,15 +403,13 @@ def test_check_flags_corrupted_trace(tmp_path, capsys):
     src = tmp_path / "cl.mini"
     src.write_text(CONST_LOOP_SOURCE)
     assert main(["trace", str(src), "--inputs", "1"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    records = [json.loads(l) for l in lines]
-    body = next(i for i, r in enumerate(records)
-                if r["event"] == "StmtExecuted" and r["id"] == 3)
-    exited = next(i for i, r in enumerate(records)
-                  if r["event"] == "LoopExited")
-    lines.insert(exited, lines.pop(body))
+    events = parse_trace(capsys.readouterr().out)
+    body = next(i for i, ev in enumerate(events)
+                if type(ev) is StmtExecuted and ev.id == 3)
+    exited = next(i for i, ev in enumerate(events) if type(ev) is LoopExited)
+    events.insert(exited, events.pop(body))
     corrupt = tmp_path / "corrupt.ndjson"
-    corrupt.write_text("\n".join(lines) + "\n")
+    corrupt.write_text(serialize_trace(events))
 
     rc = main(["check", str(src), "--trace", str(corrupt)])
     captured = capsys.readouterr()

@@ -18,8 +18,8 @@ import pytest
 from dynslice import RuntimeVar, build_cdg, generate, load, parse_trace, run, serialize_trace
 from dynslice.cdg import entry_key
 from dynslice.cli import main
-from dynslice.events import (CallEntered, InputConsumed, OutputProduced, Returned,
-                             StmtExecuted, Warning, to_line)
+from dynslice.events import (CallEntered, InputConsumed, LoopExited, OutputProduced,
+                             Returned, StmtExecuted, Warning, to_line)
 from dynslice.fixtures import CALLS_SOURCE, SAMPLE_INPUTS, SAMPLE_SOURCE, STREAM_SOURCE
 
 from test_interpreter import _named_vars
@@ -28,11 +28,14 @@ ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "upgrade_trace.py"
 
 # sha256 of the SAMPLE_SOURCE trace followed by the traces of generator seeds
-# 0..199, each with its own var table; together they hold all 7 event kinds,
-# copy-backs and returned_into
-CORPUS_DIGEST = "328066ed0408f5aadc17bac0afb084e73cc80c25393544e9908b78ae3ac8f84d"
+# 0..199, each with its own var and event tables; together they hold all 7
+# event kinds, copy-backs, returned_into and back-references
+CORPUS_DIGEST = "e6882cf20df3f15fc11d1657c68d599bea7ee9d81d0d2e9cb46a7f517b72ff52"
 
-# the same corpus in the format before it, every var spelled out
+# the same corpus in the format before it, every event written in full
+VAR_INDEX_DIGEST = "328066ed0408f5aadc17bac0afb084e73cc80c25393544e9908b78ae3ac8f84d"
+
+# and in the format before that, every var spelled out
 SPELLED_DIGEST = "ebc70c054133b5ba0adaba6ff700850c03d04981306b8377f0183ef42803d710"
 
 # and in the format before CallEntered was flattened
@@ -192,8 +195,14 @@ def reference_line(ev, seen: dict | None = None) -> str:
     return json.dumps(reference_record(ev, seen), sort_keys=True) + "\n"
 
 
+def var_index_trace(events) -> str:
+    """The trace in the format before back-references: every event in full."""
+    seen: dict = {}
+    return "".join(to_line(ev, seen) for ev in events)
+
+
 def spelled_trace(events) -> str:
-    """The trace in the format before this one: every var spelled out."""
+    """The trace in the format before var indices: every var spelled out."""
     return "".join(reference_line(ev) for ev in events)
 
 
@@ -279,10 +288,56 @@ def test_writer_matches_json_dumps():
 def test_returned_into_the_first_var_round_trips():
     """Index 0 is a var, not a missing one."""
     r = RuntimeVar("local", 1, "r", "r")
-    events = [Returned(1, (), (), r, ()), Returned(1, (), (), r, ())]
+    events = [Returned(1, (), (), r, ()), Returned(2, (), (), r, ())]
     text = serialize_trace(events)
     assert text.splitlines()[1].endswith('"returned_into": 0}')
     assert parse_trace(text) == events
+
+
+def test_a_repeated_event_is_its_index():
+    """A payload-free event written before is the bare int of its place among
+    the payload-free events written so far, and reads back as the same
+    object; an event with a payload is written in full every time."""
+    n = RuntimeVar("local", 0, "n", "n")
+    once = [StmtExecuted(1, (n,), ()), InputConsumed(2, 5), LoopExited(3)]
+    events = once + [StmtExecuted(1, (n,), ()), InputConsumed(2, 5), LoopExited(3)]
+    text = serialize_trace(events)
+    lines = text.splitlines()
+    assert lines[3:] == ["0", lines[1], "1"]
+    parsed = parse_trace(text)
+    assert parsed == events
+    assert parsed[3] is parsed[0] and parsed[5] is parsed[2]
+
+
+def calls_trace(n: int) -> tuple[list, str]:
+    events = run(load(CALLS_SOURCE), (n,)).events
+    return events, serialize_trace(events)
+
+
+def test_calls_payloads_are_written_in_full():
+    events, text = calls_trace(100)
+    kinds = set()
+    for ev, line in zip(events, text.splitlines(), strict=True):
+        if type(ev) in (InputConsumed, OutputProduced, Warning):
+            assert parse_trace(line) == [ev]
+            kinds.add(type(ev))
+    assert kinds == {InputConsumed, OutputProduced, Warning}
+
+
+def test_calls_trace_grows_by_back_references():
+    """Past the first iterations the `calls` trace writes only indices: its
+    lines without a payload that are written in full are the same at n = 10^2
+    and 10^4, and each added event costs under 4 bytes."""
+    sizes, full = [], []
+    for n in (100, 10000):
+        events, text = calls_trace(n)
+        sizes.append((len(events), len(text)))
+        full.append({line for ev, line in zip(events, text.splitlines())
+                     if line.startswith("{") and type(ev) not in
+                     (InputConsumed, OutputProduced, Warning)})
+    assert full[0] == full[1] and len(full[0]) == 12
+    (events_small, bytes_small), (events_large, bytes_large) = sizes
+    assert bytes_large - bytes_small < 4 * (events_large - events_small)
 
 
 def test_a_var_spelled_out_again_takes_no_new_index():
@@ -303,16 +358,22 @@ def test_upgrade_trace_rewrites_old_records():
 
 
 def test_upgrade_trace_rewrites_old_corpora():
-    """The two earlier formats of the digest corpus, each trace upgraded on its
-    own, become today's corpus byte for byte; today's passes unchanged."""
+    """The three earlier formats of the digest corpus, each trace upgraded on
+    its own, become today's corpus byte for byte; today's passes unchanged."""
     tool = upgrade_tool()
+    var_index = [var_index_trace(events) for _, events in corpus_runs()]
     spelled = spelled_corpus()
     unflattened = [unflattened_trace(p, events) for p, events in corpus_runs()]
+    assert sha256("".join(var_index)) == VAR_INDEX_DIGEST
     assert sha256("".join(spelled)) == SPELLED_DIGEST
     assert sha256("".join(unflattened)) == UNFLATTENED_DIGEST
-    for old in (spelled, unflattened):
+    for old in (var_index, spelled, unflattened):
         assert sha256("".join(map(tool.upgrade, old))) == CORPUS_DIGEST
-    assert tool.upgrade(sample_trace()) == sample_trace()
+    for _, events in corpus_runs():
+        today = serialize_trace(events)
+        assert tool.upgrade(today) == today
+    calls = serialize_trace(run(load(CALLS_SOURCE), (100,)).events)
+    assert tool.upgrade(calls) == calls
 
 
 def test_upgrade_trace_script():

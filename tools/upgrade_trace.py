@@ -8,11 +8,13 @@ before each executed return, a CallEntered ``callee`` object
 `dynslice check --trace` rejects them with exit 2. This drops the
 AboutToReturn lines (the Return statement's own StmtExecuted says the same),
 turns ``callee`` into its CDG entry key (``"test.add(test,test)"``) and
-flattens ``bindings`` into their ``transfers`` in order. Every record is then
-read with the trace reader and re-encoded with the trace writer, one var table
-each for the whole file, so each var is spelled out once and an index after
-that, and a record today's reader rejects is an error here too. A trace
-already in today's format comes out unchanged.
+flattens ``bindings`` into their ``transfers`` in order. The whole file is then
+read with the trace reader, ``parse_trace``, and written again with
+``serialize_trace``, one ``line_writer`` for the file: each var is spelled out
+once and an index after that, and each repeated payload-free event is its
+index. A record today's reader rejects is an error here too. A trace already
+in today's format comes out unchanged; one in an earlier format that spells
+out vars, or writes every event in full, comes out in today's.
 
 How the interpreter numbers ``owner`` is not part of the format: the reader
 takes it as an opaque int. A trace written when locals were owned by frame
@@ -25,28 +27,25 @@ from __future__ import annotations
 import json
 import sys
 
-from dynslice.events import from_json, to_line
+from dynslice.events import parse_trace, serialize_trace
 
 
 def upgrade(text: str) -> str:
-    interned: dict = {}
-    read: list = []  # the reader's vars by index
-    written: dict = {}  # the writer's var -> index
-    lines = []
-    for line in text.splitlines():
-        if not line.strip():
+    lines = text.splitlines()
+    for i, line in enumerate(lines):
+        record = json.loads(line) if line.strip() else None
+        if type(record) is not dict:  # a blank line or a back-reference
             continue
-        record = json.loads(line)
-        if record["event"] == "AboutToReturn":
-            continue
-        if record["event"] == "CallEntered" and "bindings" in record:
+        if record.get("event") == "AboutToReturn":
+            lines[i] = ""  # blank, so the reader's line numbers still hold
+        elif record.get("event") == "CallEntered" and "bindings" in record:
             callee = record["callee"]
             types = ",".join(callee["param_types"])
             record["callee"] = f"{callee['cls']}.{callee['name']}({types})"
             record["transfers"] = [t for b in record.pop("bindings")
                                    for t in b["transfers"]]
-        lines.append(to_line(from_json(record, interned, read), written))
-    return "".join(lines)
+            lines[i] = json.dumps(record, sort_keys=True)
+    return serialize_trace(parse_trace("\n".join(lines)))
 
 
 if __name__ == "__main__":
