@@ -4,10 +4,6 @@ Builds one node per statement occurrence plus bookkeeping nodes that mirror
 the streaming slicer's slice relation, then answers criteria by backward
 reachability. Deliberately unbounded in trace length; test-only.
 
-Every edge points to an older node, so one sweep down the node indices, each
-node holding a bit mask of the criteria that reach it, answers every criterion
-at once. It runs at the first `backward_slice` call and is kept on the graph.
-
 Graph shape:
 - Occurrence nodes carry the statement id as payload. Data edges point to the
   node currently explaining each used variable; the control edge points to
@@ -48,9 +44,6 @@ class Ddg:
     # (stmt id, display name) -> anchor node indices of the last execution
     criteria: dict[tuple[int, str], tuple[int, ...]] = field(default_factory=dict)
     occurrences: int = 0  # StmtExecuted nodes only
-    # criterion -> its slice, every criterion's from one sweep at the first query
-    slices: dict[tuple[int, str], frozenset[int]] | None = field(
-        default=None, compare=False, repr=False)
 
     def executed_criteria(self) -> list[tuple[int, str]]:
         return sorted(self.criteria)
@@ -58,8 +51,7 @@ class Ddg:
 
 class _Builder:
     def __init__(self, cdg: Cdg):
-        self._kind = {u: info.kind for u, info in cdg.nodes.items()}
-        self._test = {u: cdg.parent_test(u) for u in cdg.nodes}
+        self.cdg = cdg
         self.ddg = Ddg()
         self.last_def: dict[RuntimeVar, int] = {}
         self.last_occ: dict[int, int] = {}  # test -> its latest occurrence in this frame
@@ -73,7 +65,7 @@ class _Builder:
         return len(self.ddg.payloads) - 1
 
     def ctrl_test_occ(self, sid: int) -> int | None:
-        p = self._test[sid]
+        p = self.cdg.parent_test(sid)
         return self.last_occ[p] if p is not None else None
 
     def anchor(self, sid: int, var: RuntimeVar, ctrl_occ: int | None) -> None:
@@ -94,8 +86,7 @@ class _Builder:
         idx = self.add(u, preds)
         self.ddg.occurrences += 1
 
-        kind = self._kind[u]
-        is_call = kind == "Call"
+        is_call = self.cdg.kind(u) == "Call"
         use_route = ev.uses + (ev.defs if is_call else ())
         for v in use_route:
             self.anchor(u, v, ctrl_occ)
@@ -104,7 +95,7 @@ class _Builder:
                 self.last_def[d] = idx
                 self.ddg.criteria[(u, d.display)] = (idx,)
         self.last_occ[u] = idx
-        if kind == "Return":
+        if self.cdg.kind(u) == "Return":
             self.pending_ret[-1] = idx
 
     def on_call(self, ev: CallEntered) -> None:
@@ -163,32 +154,19 @@ def build_ddg(events: list[ExecEvent], cdg: Cdg) -> Ddg:
 
 def backward_slice(ddg: Ddg, node: int, var: str) -> frozenset[int]:
     """Statement ids backward-reachable from the criterion's anchors."""
-    if (node, var) not in ddg.criteria:
+    anchors = ddg.criteria.get((node, var))
+    if anchors is None:
         raise CriterionError(
             f"criterion ({node}, {var}) never executed with that variable")
-    if ddg.slices is None:
-        ddg.slices = _sweep(ddg)
-    return ddg.slices[node, var]
-
-
-def _sweep(ddg: Ddg) -> dict[tuple[int, str], frozenset[int]]:
-    """Every criterion's slice. Bit k of a node's mask says criterion k reaches
-    it; a node passes its mask to its preds, all older, before the sweep
-    reaches them, and adds it to its statement's."""
-    keys = list(ddg.criteria)
-    reach = [0] * len(ddg.preds)
-    for k, key in enumerate(keys):
-        for n in ddg.criteria[key]:
-            reach[n] |= 1 << k
-    by_stmt: dict[int, int] = {}  # statement id -> mask of the criteria reaching it
-    preds, payloads = ddg.preds, ddg.payloads
-    for n in range(len(reach) - 1, -1, -1):
-        mask = reach[n]
-        if mask:
-            for p in preds[n]:
-                reach[p] |= mask
-            u = payloads[n]
-            if u is not None:
-                by_stmt[u] = by_stmt.get(u, 0) | mask
-    return {key: frozenset(u for u, mask in by_stmt.items() if mask >> k & 1)
-            for k, key in enumerate(keys)}
+    result: set[int] = set()
+    visited = set(anchors)
+    stack = list(anchors)
+    while stack:
+        n = stack.pop()
+        if ddg.payloads[n] is not None:
+            result.add(ddg.payloads[n])
+        for p in ddg.preds[n]:
+            if p not in visited:
+                visited.add(p)
+                stack.append(p)
+    return frozenset(result)
