@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Callable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .syntax import (
     Assign,
@@ -91,8 +91,7 @@ _TOKEN = re.compile(r"""
 """, re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # IDENT, INT, STRING, keyword text, or symbol text
     text: str
     pos: Pos

@@ -16,12 +16,15 @@ Semantics:
 There is one store, `values`, keyed by RuntimeVar; a var absent from it is
 uninitialized. A frame maps each declared name to its var, or an object's
 name to its member -> var table, and `locate` is the one place that maps a
-bound name to its var. Each expression is walked once: `eval` computes its
+bound name to its var. Each expression is walked once: `_EVAL` computes its
 value and collects the variables it reads, in read order, as the statement's
 uses. A call is carried out with the lists it emits and nothing else: object
 formals are filled from `transfers`, copy-restore follows `copy_backs`, the
 callee's values are dropped by `resets`, and the call site's uses are the
-sources in `transfers`.
+sources in `transfers`. Statements and expressions are dispatched by type
+through the module tables `_EXEC` and `_EVAL` of plain functions; a table of
+bound methods on the interpreter would be a reference cycle, which keeps a
+run's whole state alive until the cycle collector runs.
 
 A RuntimeVar names a location by what is live: an int local by its frame's
 call depth (0 for main, +1 per open call), a member by its object's id. Main's
@@ -31,6 +34,16 @@ close in reverse order, so the free ids are those above a mark, and live ids
 keep the order their objects were made in. Vars are interned as a frame or
 object is made, so equal vars in one run are identical: the slicer's and the
 oracle's dicts keyed by them match on identity, and no var is built per read.
+
+So all that is static in a method frame depends only on its method, its call
+depth and the first free object id: its name table, its formals' vars and
+copies, its sorted resets, the id mark after its objects and its entry key.
+That is a `_Plan`, kept per run under that key and built at the key's first
+call, so a call-free run builds none; each call then only evaluates its
+actuals, fills their values and emits its events. The depth is at most
+`MAX_DEPTH`, and the free id at a depth is main's objects plus those of the
+frames open below, so the number of plans depends on the program, not on the
+length of the run.
 
 Event order around a call: CallEntered (the callee's entry key and the
 parameter transfers), the callee's events, a Return node's StmtExecuted if
@@ -48,7 +61,8 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cdg import entry_key
 from .events import (
@@ -66,7 +80,6 @@ from .syntax import (
     Assign,
     BinOp,
     Call,
-    Expr,
     If,
     Input,
     IntLit,
@@ -110,9 +123,9 @@ class _ReturnSignal(Exception):
 @dataclass
 class Frame:
     depth: int
-    receiver: dict[str, RuntimeVar] | None = None  # member -> var
+    receiver: dict[str, RuntimeVar] | None  # member -> var
     # int local -> its var, object -> its member -> var table
-    names: dict[str, "RuntimeVar | dict[str, RuntimeVar]"] = field(default_factory=dict)
+    names: dict[str, "RuntimeVar | dict[str, RuntimeVar]"]
 
 
 @dataclass
@@ -142,7 +155,7 @@ def run(program: Program, inputs: list[int] | tuple[int, ...] = (),
     interp = _Interp(program, list(inputs), budget,
                      events.append if sink is None else sink)
     try:
-        frame = interp.new_frame(0, None, program.main)
+        frame = Frame(0, None, interp.declare(0, _decls(program.main)))
         try:
             interp.exec_block(program.main, frame)
         except _ReturnSignal:
@@ -150,6 +163,15 @@ def run(program: Program, inputs: list[int] | tuple[int, ...] = (),
         return RunResult(events, interp.outputs, "ok")
     except RunInterrupt as stop:
         return RunResult(events, interp.outputs, stop.status, stop.message)
+
+
+class _Plan(NamedTuple):
+    """The part of a method frame fixed by its key (see the module docstring)."""
+    callee: str  # entry key
+    names: dict[str, "RuntimeVar | dict[str, RuntimeVar]"]
+    formals: tuple[tuple, ...]  # per formal: (what `names` binds it to, by_ref)
+    resets: tuple[RuntimeVar, ...]
+    mark: int  # next_oid once the frame's objects are made
 
 
 class _Interp:
@@ -166,28 +188,42 @@ class _Interp:
         self.members = {c.name: c.members for c in program.classes}
         self.vars: dict[RuntimeVar, RuntimeVar] = {}  # interned
         self.values: dict[RuntimeVar, int] = {}  # absent = uninitialized
+        self.plans: dict[tuple[int, int, int], _Plan] = {}
+        # id of an object's member table -> its vars, sorted; every table is
+        # held by main's frame or a plan until the run ends, so ids stay unique
+        self.ordered: dict[int, tuple[RuntimeVar, ...]] = {}
 
     def var(self, kind: str, owner: int, name: str, display: str) -> RuntimeVar:
         """The one RuntimeVar with these fields in this run."""
         var = RuntimeVar(kind, owner, name, display)
         return self.vars.setdefault(var, var)
 
-    def new_frame(self, depth: int, receiver: dict[str, RuntimeVar] | None,
-                  body: list[Stmt]) -> Frame:
-        frame = Frame(depth, receiver)
-        # declarations are procedure-scoped; objects exist from frame entry
-        for s in _decls(body):
-            for name in s.names:
-                frame.names[name] = (self.var("local", depth, name, name)
-                                     if s.decl_type == "int"
-                                     else self.new_object(s.decl_type, name))
-        return frame
+    def declare(self, depth: int, decls) -> dict:
+        """The name table of a frame at `depth` with these (type, name)
+        declarations; objects exist from frame entry."""
+        return {name: self.var("local", depth, name, name) if type_ == "int"
+                else self.new_object(type_, name) for type_, name in decls}
 
     def new_object(self, cls: str, var_name: str) -> dict[str, RuntimeVar]:
         """A fresh object's member -> var table, in declaration order."""
         self.next_oid += 1
-        return {m: self.var("member", self.next_oid, m, f"{var_name}.{m}")
-                for m in self.members[cls]}
+        table = {m: self.var("member", self.next_oid, m, f"{var_name}.{m}")
+                 for m in self.members[cls]}
+        self.ordered[id(table)] = tuple(sorted(table.values()))
+        return table
+
+    def plan(self, key: tuple[int, int, int], s: Call) -> _Plan:
+        """Build and keep the plan of `s`'s method under `key`."""
+        method = s.resolved
+        names = self.declare(key[1], [*_decls(method.body),
+                                      *((f.type, f.name) for f in method.formals)])
+        resets = [var for bound in names.values()
+                  for var in (bound.values() if type(bound) is dict else (bound,))]
+        plan = self.plans[key] = _Plan(
+            entry_key(s.receiver_cls, method), names,
+            tuple((names[f.name], f.by_ref) for f in method.formals),
+            _ordered(resets), self.next_oid)
+        return plan
 
     # -- reads, writes and evaluation ----------------------------------------
 
@@ -206,24 +242,26 @@ class _Interp:
         self.values[var] = value
         return var
 
-    def eval(self, e: Expr, frame: Frame, at: int, uses: list[RuntimeVar]) -> int:
-        """Value of an int expression; appends each variable read to `uses`."""
-        if isinstance(e, Name):
-            var = self.locate(e, frame)
-            uses.append(var)
-            value = self.values.get(var)  # absent = uninitialized
-            if value is None:
-                shown = repr(var.display) if var.kind == "local" else var.display
-                self.emit(Warning(at, f"read of uninitialized {shown}"))
-                return 0
-            return value
-        if isinstance(e, IntLit):
-            return e.value
-        if isinstance(e, BinOp):
-            left = self.eval(e.left, frame, at, uses)
-            right = self.eval(e.right, frame, at, uses)
-            return self.apply(e.op, left, right, at)
-        raise TypeError(f"cannot evaluate {e!r}")
+    # `_EVAL[type(e)](self, e, frame, at, uses)` is the value of an int
+    # expression `e` and appends each variable it reads to `uses`
+
+    def eval_name(self, e: Name, frame: Frame, at: int, uses: list[RuntimeVar]) -> int:
+        var = self.locate(e, frame)
+        uses.append(var)
+        value = self.values.get(var)  # absent = uninitialized
+        if value is None:
+            shown = repr(var.display) if var.kind == "local" else var.display
+            self.emit(Warning(at, f"read of uninitialized {shown}"))
+            return 0
+        return value
+
+    def eval_int(self, e: IntLit, frame: Frame, at: int, uses: list[RuntimeVar]) -> int:
+        return e.value
+
+    def eval_binop(self, e: BinOp, frame: Frame, at: int, uses: list[RuntimeVar]) -> int:
+        left = _EVAL[type(e.left)](self, e.left, frame, at, uses)
+        right = _EVAL[type(e.right)](self, e.right, frame, at, uses)
+        return self.apply(e.op, left, right, at)
 
     def apply(self, op: str, a: int, b: int, at: int) -> int:
         if op == "/":
@@ -244,102 +282,98 @@ class _Interp:
             raise RunInterrupt("stack-overflow", f"stack overflow: more than "
                                f"{MAX_DEPTH} nested blocks at node {s.id}")
 
-    def stmt_event(self, s: Stmt, defs: tuple[RuntimeVar, ...],
-                   uses: list[RuntimeVar]) -> None:
-        self.emit(StmtExecuted(s.id, defs, _ordered(uses)))
-
     def exec_block(self, body: list[Stmt], frame: Frame) -> None:
         self.depth += 1
         try:
             for s in body:
-                if not isinstance(s, VarDecl):
-                    self.exec_stmt(s, frame)
+                if type(s) is not VarDecl:
+                    self.charge(s)
+                    _EXEC[type(s)](self, s, frame)
         finally:
             self.depth -= 1
 
-    def exec_stmt(self, s: Stmt, frame: Frame) -> None:
-        self.charge(s)
+    def exec_assign(self, s: Assign, frame: Frame) -> None:
         uses: list[RuntimeVar] = []
-        if isinstance(s, Assign):
-            value = self.eval(s.value, frame, s.id, uses)
-            self.stmt_event(s, (self.write(s.target, frame, value),), uses)
-        elif isinstance(s, Input):
-            if self.next_input >= len(self.inputs):
-                raise RunInterrupt("input-exhausted",
-                                   f"no input left for node {s.id}")
-            value = self.inputs[self.next_input]
-            self.next_input += 1
-            self.emit(InputConsumed(s.id, value))
-            self.stmt_event(s, (self.write(s.target, frame, value),), uses)
-        elif isinstance(s, Output):
-            if isinstance(s.value, StrLit):
-                value: int | str = s.value.value
-            else:
-                value = self.eval(s.value, frame, s.id, uses)
-            self.outputs.append(value)
-            self.emit(OutputProduced(s.id, value))
-            self.stmt_event(s, (), uses)
-        elif isinstance(s, If):
-            taken = self.eval(s.cond, frame, s.id, uses) != 0
-            self.stmt_event(s, (), uses)
-            self.exec_block(s.then_body if taken else s.else_body, frame)
-        elif isinstance(s, While):
-            # entry charge covers the first condition evaluation
-            while True:
-                uses = []
-                alive = self.eval(s.cond, frame, s.id, uses) != 0
-                self.stmt_event(s, (), uses)
-                if not alive:
-                    self.emit(LoopExited(s.id))
-                    break
-                self.exec_block(s.body, frame)
-                self.charge(s)
-        elif isinstance(s, Return):
-            value = None if s.value is None else self.eval(s.value, frame, s.id, uses)
-            self.stmt_event(s, (), uses)
-            raise _ReturnSignal(value)
-        elif isinstance(s, Call):
-            self.exec_call(s, frame)
+        value = _EVAL[type(s.value)](self, s.value, frame, s.id, uses)
+        self.emit(StmtExecuted(s.id, (self.write(s.target, frame, value),), _ordered(uses)))
+
+    def exec_input(self, s: Input, frame: Frame) -> None:
+        if self.next_input >= len(self.inputs):
+            raise RunInterrupt("input-exhausted", f"no input left for node {s.id}")
+        value = self.inputs[self.next_input]
+        self.next_input += 1
+        self.emit(InputConsumed(s.id, value))
+        self.emit(StmtExecuted(s.id, (self.write(s.target, frame, value),), ()))
+
+    def exec_output(self, s: Output, frame: Frame) -> None:
+        uses: list[RuntimeVar] = []
+        if isinstance(s.value, StrLit):
+            value: int | str = s.value.value
         else:
-            raise TypeError(f"cannot execute {s!r}")
+            value = _EVAL[type(s.value)](self, s.value, frame, s.id, uses)
+        self.outputs.append(value)
+        self.emit(OutputProduced(s.id, value))
+        self.emit(StmtExecuted(s.id, (), _ordered(uses)))
+
+    def exec_if(self, s: If, frame: Frame) -> None:
+        uses: list[RuntimeVar] = []
+        taken = _EVAL[type(s.cond)](self, s.cond, frame, s.id, uses) != 0
+        self.emit(StmtExecuted(s.id, (), _ordered(uses)))
+        self.exec_block(s.then_body if taken else s.else_body, frame)
+
+    def exec_while(self, s: While, frame: Frame) -> None:
+        # entry charge covers the first condition evaluation
+        while True:
+            uses: list[RuntimeVar] = []
+            alive = _EVAL[type(s.cond)](self, s.cond, frame, s.id, uses) != 0
+            self.emit(StmtExecuted(s.id, (), _ordered(uses)))
+            if not alive:
+                self.emit(LoopExited(s.id))
+                break
+            self.exec_block(s.body, frame)
+            self.charge(s)
+
+    def exec_return(self, s: Return, frame: Frame) -> None:
+        uses: list[RuntimeVar] = []
+        value = (None if s.value is None
+                 else _EVAL[type(s.value)](self, s.value, frame, s.id, uses))
+        self.emit(StmtExecuted(s.id, (), _ordered(uses)))
+        raise _ReturnSignal(value)
 
     # -- calls ---------------------------------------------------------------
 
     def exec_call(self, s: Call, frame: Frame) -> None:
         receiver = frame.names[s.receiver.base]
-        method = s.resolved
         values = self.values
         free_from = self.next_oid
-        callee = self.new_frame(frame.depth + 1, receiver, method.body)
+        key = (id(s.resolved), frame.depth + 1, free_from)
+        plan = self.plans.get(key) or self.plan(key, s)
+        self.next_oid = plan.mark
 
         transfers: list[tuple[RuntimeVar, tuple[RuntimeVar, ...]]] = []
         copy_backs: list[tuple[RuntimeVar, RuntimeVar]] = []
-        for f, a in zip(method.formals, s.args):
-            if f.type == "int":
+        for (formal, by_ref), a in zip(plan.formals, s.args):
+            if type(formal) is not dict:
                 arg_vars: list[RuntimeVar] = []
-                value = self.eval(a, frame, s.id, arg_vars)
-                f_var = callee.names[f.name] = self.var("local", callee.depth, f.name, f.name)
-                values[f_var] = value
-                pairs = [(f_var, tuple(arg_vars))]
+                values[formal] = _EVAL[type(a)](self, a, frame, s.id, arg_vars)
+                pairs = [(formal, tuple(arg_vars))]
             else:
                 actual = frame.names[a.base]
-                callee.names[f.name] = copy = self.new_object(f.type, f.name)
-                pairs = [(f_var, (actual[m],)) for m, f_var in copy.items()]
+                pairs = [(f_var, (actual[m],)) for m, f_var in formal.items()]
                 # an object formal starts as a member-wise copy of its actual
                 for f_var, (src,) in pairs:
                     if src in values:
                         values[f_var] = values[src]
             transfers.extend(pairs)
-            if f.by_ref:
+            if by_ref:
                 # a by-reference actual is a single variable
                 copy_backs.extend((f_var, srcs[0]) for f_var, srcs in pairs)
 
-        self.emit(CallEntered(s.id, entry_key(s.receiver_cls, method),
-                              tuple(transfers)))
+        self.emit(CallEntered(s.id, plan.callee, tuple(transfers)))
 
         returned: int | None = None
         try:
-            self.exec_block(method.body, callee)
+            self.exec_block(s.resolved.body, Frame(key[1], receiver, plan.names))
         except _ReturnSignal as sig:
             returned = sig.value
 
@@ -353,25 +387,23 @@ class _Interp:
         returned_into = None
         if s.assign_to is not None:
             if returned is None:
-                self.emit(Warning(s.id, f"{s.receiver_cls}.{method.name} returned no value"))
+                self.emit(Warning(s.id, f"{s.receiver_cls}.{s.method} returned no value"))
                 returned = 0
             returned_into = self.write(s.assign_to, frame, returned)
 
-        resets: list[RuntimeVar] = []
-        for bound in callee.names.values():
-            if type(bound) is dict:
-                resets.extend(bound.values())
-            else:
-                resets.append(bound)
-        resets = _ordered(resets)
-        for var in resets:
+        for var in plan.resets:
             values.pop(var, None)
-
-        self.emit(Returned(s.id, tuple(copy_backs), resets, returned_into,
-                           _ordered(list(receiver.values()))))
+        self.emit(Returned(s.id, tuple(copy_backs), plan.resets, returned_into,
+                           self.ordered[id(receiver)]))
         self.next_oid = free_from
-        self.stmt_event(s, (returned_into,) if returned_into else (),
-                        [src for _, srcs in transfers for src in srcs])
+        self.emit(StmtExecuted(s.id, (returned_into,) if returned_into else (),
+                               _ordered([src for _, srcs in transfers for src in srcs])))
+
+
+_EXEC = {Assign: _Interp.exec_assign, Input: _Interp.exec_input,
+         Output: _Interp.exec_output, If: _Interp.exec_if, While: _Interp.exec_while,
+         Return: _Interp.exec_return, Call: _Interp.exec_call}
+_EVAL = {Name: _Interp.eval_name, IntLit: _Interp.eval_int, BinOp: _Interp.eval_binop}
 
 
 def _ordered(vs: list[RuntimeVar]) -> tuple[RuntimeVar, ...]:
@@ -385,9 +417,10 @@ def _ordered(vs: list[RuntimeVar]) -> tuple[RuntimeVar, ...]:
 
 
 def _decls(body: list[Stmt]):
+    """The (type, name) of each declaration in `body`, nested ones included."""
     for s in body:
         if isinstance(s, VarDecl):
-            yield s
+            yield from ((s.decl_type, name) for name in s.names)
         elif isinstance(s, If):
             yield from _decls(s.then_body)
             yield from _decls(s.else_body)

@@ -15,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from dynslice import RuntimeVar, build_cdg, generate, load, parse_trace, run, serialize_trace
+from dynslice import (RuntimeVar, build_cdg, generate, interpreter, load, parse_trace, run,
+                      serialize_trace)
 from dynslice.cdg import entry_key
 from dynslice.cli import main
 from dynslice.events import (CallEntered, InputConsumed, LoopExited, OutputProduced,
@@ -142,6 +143,52 @@ void main() {
     #15: cout << k;
 }
 """
+
+# g runs at depth 2 under f, which made two objects, and under h, which made
+# one, so its frames at one depth start at two different free object ids
+SHARED_DEPTH_SOURCE = """\
+class c {
+    int m;
+public:
+    int g(c q, int n) {
+        #1: m = q.m + n;
+        #2: return m;
+    }
+    int f(c p, int n) {
+        c w;
+        #3: w.m = n;
+        #4: n = w.g(p, n);
+        #5: return n;
+    }
+    int h(c p, int n) {
+        #6: n = p.g(p, n);
+        #7: return n;
+    }
+};
+
+void main() {
+    c o;
+    int k, t;
+    #8: cin >> t;
+    #9: while (t > 0) {
+        #10: k = o.f(o, t);
+        #11: k = o.h(o, k);
+        #12: t = t - 1;
+    }
+    #13: cout << k;
+}
+"""
+
+# sha256 of `trace`'s stdout, with its exit code, on call shapes the digest
+# corpus lacks: RECURSIVE_SOURCE runs one method at several depths and reuses
+# object ids (at 300,1 the prefix written before the stack overflow),
+# SHARED_DEPTH_SOURCE runs one method at one depth from two free ids
+CALL_FRAME_DIGESTS = {
+    ("recursive", "2,1"): (0, "e972027b0ef7c6e39facbbedfe8a53392a2e784bd4f4b479261c7a46cf133965"),
+    ("recursive", "4,3"): (0, "e1e7892d0e43b4f4b6168d04427a5c5a04e5ca45ec42a6d440d938fabdf413ca"),
+    ("recursive", "300,1"): (3, "c8192879eddedec92930c9ea03ea42be44d6423ac3000d97e6b989d1825fe535"),
+    ("shared_depth", "3"): (0, "324c443c4f73d5a095a323d6650a56fd257f9625492f29abfe4d9da49e493f91"),
+}
 
 # the first Returned of SAMPLE_SOURCE (T1.get(p, q)): T1's members and the
 # callee's x and y have all been written before
@@ -468,6 +515,43 @@ def test_recursive_vocabulary_depends_on_depth_only(tmp_path, capsys):
                     displays.setdefault(v.owner, set()).add(v.display)
             assert any(len(d) > 1 for d in displays.values())
     assert counts[2, 1] == counts[2, 3] < counts[4, 1] == counts[4, 3]
+
+
+def test_frame_plans_follow_the_program_not_the_run(monkeypatch):
+    """A call's frame plan is built once per method, call depth and first free
+    object id: a call-free run builds none, more iterations or more starts of
+    the same recursion build no more, and a deeper recursion builds more."""
+    built = []
+    plan = interpreter._Interp.plan
+
+    def counting(self, *args):
+        built.append(args[0])
+        return plan(self, *args)
+
+    monkeypatch.setattr(interpreter._Interp, "plan", counting)
+
+    def builds(source, inputs) -> int:
+        built.clear()
+        assert run(load(source), inputs).ok
+        assert len(set(built)) == len(built)
+        return len(built)
+
+    assert builds(STREAM_SOURCE, (100,)) == 0
+    assert builds(CALLS_SOURCE, (10,)) == builds(CALLS_SOURCE, (1000,)) == 1
+    assert builds(RECURSIVE_SOURCE, (2, 1)) == builds(RECURSIVE_SOURCE, (2, 3))
+    assert builds(RECURSIVE_SOURCE, (2, 1)) < builds(RECURSIVE_SOURCE, (4, 1))
+    # f and h at depth 1, g at depth 2 under each
+    assert builds(SHARED_DEPTH_SOURCE, (3,)) == 4
+
+
+@pytest.mark.parametrize("program,inputs", sorted(CALL_FRAME_DIGESTS))
+def test_call_frame_trace_digest(tmp_path, capsys, program, inputs):
+    src = tmp_path / "p.mini"
+    src.write_text({"recursive": RECURSIVE_SOURCE,
+                    "shared_depth": SHARED_DEPTH_SOURCE}[program])
+    code, digest = CALL_FRAME_DIGESTS[program, inputs]
+    assert main(["trace", str(src), "--inputs", inputs]) == code
+    assert sha256(capsys.readouterr().out) == digest
 
 
 PRINT_LOOP_SOURCE = """\
