@@ -18,13 +18,10 @@ uninitialized. A frame maps each declared name to its var, or an object's
 name to its member -> var table, and `locate` is the one place that maps a
 bound name to its var. Each expression is walked once: `_EVAL` computes its
 value and collects the variables it reads, in read order, as the statement's
-uses. A call is carried out with the lists it emits and nothing else: object
-formals are filled from `transfers`, copy-restore follows `copy_backs`, the
-callee's values are dropped by `resets`, and the call site's uses are the
-sources in `transfers`. Statements and expressions are dispatched by type
-through the module tables `_EXEC` and `_EVAL` of plain functions; a table of
-bound methods on the interpreter would be a reference cycle, which keeps a
-run's whole state alive until the cycle collector runs.
+uses. Statements and expressions are dispatched by type through the module
+tables `_EXEC` and `_EVAL` of plain functions; a table of bound methods on the
+interpreter would be a reference cycle, which keeps a run's whole state alive
+until the cycle collector runs.
 
 A RuntimeVar names a location by what is live: an int local by its frame's
 call depth (0 for main, +1 per open call), a member by its object's id. Main's
@@ -39,11 +36,18 @@ So all that is static in a method frame depends only on its method, its call
 depth and the first free object id: its name table, its formals' vars and
 copies, its sorted resets, the id mark after its objects and its entry key.
 That is a `_Plan`, kept per run under that key and built at the key's first
-call, so a call-free run builds none; each call then only evaluates its
-actuals, fills their values and emits its events. The depth is at most
-`MAX_DEPTH`, and the free id at a depth is main's objects plus those of the
-frames open below, so the number of plans depends on the program, not on the
-length of the run.
+call. A binding, a frame's name table plus its receiver's member table, is one
+`Frame`: main's, or one per plan and receiver in `_Plan.frames`. Every var an
+event names is fixed by its statement and binding, so `Frame.plans` keeps each
+statement's plan, built by the walk that runs the statement at its first
+execution in the binding: its StmtExecuted, or a call site's `_Site` (the
+callee's plan and frame, its object formals' copies and its three events).
+Later executions evaluate values and emit the same event objects, interned
+like vars; Warning, InputConsumed and OutputProduced carry values and are made
+per execution. The depth is at most `MAX_DEPTH` and the free id at a depth is
+main's objects plus those of the frames open below, and every table lives
+until the run ends, so plans, bindings (plans x object tables) and stored
+events (statements x bindings) depend on the program, not on the run's length.
 
 Event order around a call: CallEntered (the callee's entry key and the
 parameter transfers), the callee's events, a Return node's StmtExecuted if
@@ -126,6 +130,7 @@ class Frame:
     receiver: dict[str, RuntimeVar] | None  # member -> var
     # int local -> its var, object -> its member -> var table
     names: dict[str, "RuntimeVar | dict[str, RuntimeVar]"]
+    plans: dict  # statement id -> its StmtExecuted or _Site in this binding
 
 
 @dataclass
@@ -155,7 +160,7 @@ def run(program: Program, inputs: list[int] | tuple[int, ...] = (),
     interp = _Interp(program, list(inputs), budget,
                      events.append if sink is None else sink)
     try:
-        frame = Frame(0, None, interp.declare(0, _decls(program.main)))
+        frame = Frame(0, None, interp.declare(0, _decls(program.main)), {})
         try:
             interp.exec_block(program.main, frame)
         except _ReturnSignal:
@@ -172,6 +177,18 @@ class _Plan(NamedTuple):
     formals: tuple[tuple, ...]  # per formal: (what `names` binds it to, by_ref)
     resets: tuple[RuntimeVar, ...]
     mark: int  # next_oid once the frame's objects are made
+    frames: dict[int, Frame]  # id of a receiver's member table -> its frame
+
+
+class _Site(NamedTuple):
+    """A call site's plan in one binding (see the module docstring)."""
+    plan: _Plan
+    frame: Frame  # the callee's
+    ints: tuple[tuple[RuntimeVar, object], ...]  # (int formal, its actual)
+    copies: tuple[tuple[RuntimeVar, RuntimeVar], ...]  # (object formal member, source)
+    entered: CallEntered
+    returned: Returned
+    executed: StmtExecuted
 
 
 class _Interp:
@@ -186,17 +203,17 @@ class _Interp:
         self.outputs: list[int | str] = []
         self.next_oid = 0  # the ids above it are free
         self.members = {c.name: c.members for c in program.classes}
-        self.vars: dict[RuntimeVar, RuntimeVar] = {}  # interned
+        self.interned: dict = {}  # vars and payload-free events, each to itself
         self.values: dict[RuntimeVar, int] = {}  # absent = uninitialized
         self.plans: dict[tuple[int, int, int], _Plan] = {}
-        # id of an object's member table -> its vars, sorted; every table is
-        # held by main's frame or a plan until the run ends, so ids stay unique
-        self.ordered: dict[int, tuple[RuntimeVar, ...]] = {}
 
     def var(self, kind: str, owner: int, name: str, display: str) -> RuntimeVar:
         """The one RuntimeVar with these fields in this run."""
-        var = RuntimeVar(kind, owner, name, display)
-        return self.vars.setdefault(var, var)
+        return self.one(RuntimeVar(kind, owner, name, display))
+
+    def one(self, x):
+        """The one object equal to `x` in this run."""
+        return self.interned.setdefault(x, x)
 
     def declare(self, depth: int, decls) -> dict:
         """The name table of a frame at `depth` with these (type, name)
@@ -207,10 +224,8 @@ class _Interp:
     def new_object(self, cls: str, var_name: str) -> dict[str, RuntimeVar]:
         """A fresh object's member -> var table, in declaration order."""
         self.next_oid += 1
-        table = {m: self.var("member", self.next_oid, m, f"{var_name}.{m}")
-                 for m in self.members[cls]}
-        self.ordered[id(table)] = tuple(sorted(table.values()))
-        return table
+        return {m: self.var("member", self.next_oid, m, f"{var_name}.{m}")
+                for m in self.members[cls]}
 
     def plan(self, key: tuple[int, int, int], s: Call) -> _Plan:
         """Build and keep the plan of `s`'s method under `key`."""
@@ -219,11 +234,43 @@ class _Interp:
                                       *((f.type, f.name) for f in method.formals)])
         resets = [var for bound in names.values()
                   for var in (bound.values() if type(bound) is dict else (bound,))]
-        plan = self.plans[key] = _Plan(
+        return self.plans.setdefault(key, _Plan(
             entry_key(s.receiver_cls, method), names,
             tuple((names[f.name], f.by_ref) for f in method.formals),
-            _ordered(resets), self.next_oid)
-        return plan
+            _ordered(resets), self.next_oid, {}))
+
+    def planned(self, s: Stmt, frame: Frame, defs: tuple, uses: list) -> StmtExecuted:
+        """Build and keep the StmtExecuted of `s` in `frame`'s binding."""
+        return frame.plans.setdefault(s.id, self.one(StmtExecuted(s.id, defs, _ordered(uses))))
+
+    def site(self, s: Call, frame: Frame) -> _Site:
+        """Build and keep call site `s`'s plan in `frame`'s binding; run its int actuals."""
+        key = (id(s.resolved), frame.depth + 1, self.next_oid)
+        plan = self.plans.get(key) or self.plan(key, s)
+        ints, copies, transfers, copy_backs = [], [], [], []
+        for (formal, by_ref), a in zip(plan.formals, s.args):
+            if type(formal) is not dict:
+                self.values[formal] = _EVAL[type(a)](self, a, frame, s.id, uses := [])
+                ints.append((formal, a))
+                pairs = [(formal, tuple(uses))]
+            else:
+                actual = frame.names[a.base]
+                pairs = [(f_var, (actual[m],)) for m, f_var in formal.items()]
+                copies.extend((f_var, src) for f_var, (src,) in pairs)
+            transfers.extend(pairs)
+            if by_ref:
+                # a by-reference actual is a single variable
+                copy_backs.extend((f_var, srcs[0]) for f_var, srcs in pairs)
+        receiver = frame.names[s.receiver.base]
+        into = s.assign_to and self.locate(s.assign_to, frame)
+        events = (CallEntered(s.id, plan.callee, tuple(transfers)),
+                  Returned(s.id, tuple(copy_backs), plan.resets, into,
+                           tuple(sorted(receiver.values()))),
+                  StmtExecuted(s.id, (into,) if into else (),
+                               _ordered([src for _, srcs in transfers for src in srcs])))
+        callee = plan.frames.setdefault(id(receiver), Frame(key[1], receiver, plan.names, {}))
+        return frame.plans.setdefault(s.id, _Site(plan, callee, tuple(ints), tuple(copies),
+                                                  *map(self.one, events)))
 
     # -- reads, writes and evaluation ----------------------------------------
 
@@ -236,11 +283,6 @@ class _Interp:
         if name.binding == "obj_member":
             return frame.names[name.base][name.member]
         raise ValueError(f"object {name.base!r} read as a value")
-
-    def write(self, name: Name, frame: Frame, value: int) -> RuntimeVar:
-        var = self.locate(name, frame)
-        self.values[var] = value
-        return var
 
     # `_EVAL[type(e)](self, e, frame, at, uses)` is the value of an int
     # expression `e` and appends each variable it reads to `uses`
@@ -295,7 +337,9 @@ class _Interp:
     def exec_assign(self, s: Assign, frame: Frame) -> None:
         uses: list[RuntimeVar] = []
         value = _EVAL[type(s.value)](self, s.value, frame, s.id, uses)
-        self.emit(StmtExecuted(s.id, (self.write(s.target, frame, value),), _ordered(uses)))
+        ev = frame.plans.get(s.id) or self.planned(s, frame, (self.locate(s.target, frame),), uses)
+        self.values[ev.defs[0]] = value
+        self.emit(ev)
 
     def exec_input(self, s: Input, frame: Frame) -> None:
         if self.next_input >= len(self.inputs):
@@ -303,7 +347,9 @@ class _Interp:
         value = self.inputs[self.next_input]
         self.next_input += 1
         self.emit(InputConsumed(s.id, value))
-        self.emit(StmtExecuted(s.id, (self.write(s.target, frame, value),), ()))
+        ev = frame.plans.get(s.id) or self.planned(s, frame, (self.locate(s.target, frame),), [])
+        self.values[ev.defs[0]] = value
+        self.emit(ev)
 
     def exec_output(self, s: Output, frame: Frame) -> None:
         uses: list[RuntimeVar] = []
@@ -313,12 +359,12 @@ class _Interp:
             value = _EVAL[type(s.value)](self, s.value, frame, s.id, uses)
         self.outputs.append(value)
         self.emit(OutputProduced(s.id, value))
-        self.emit(StmtExecuted(s.id, (), _ordered(uses)))
+        self.emit(frame.plans.get(s.id) or self.planned(s, frame, (), uses))
 
     def exec_if(self, s: If, frame: Frame) -> None:
         uses: list[RuntimeVar] = []
         taken = _EVAL[type(s.cond)](self, s.cond, frame, s.id, uses) != 0
-        self.emit(StmtExecuted(s.id, (), _ordered(uses)))
+        self.emit(frame.plans.get(s.id) or self.planned(s, frame, (), uses))
         self.exec_block(s.then_body if taken else s.else_body, frame)
 
     def exec_while(self, s: While, frame: Frame) -> None:
@@ -326,9 +372,9 @@ class _Interp:
         while True:
             uses: list[RuntimeVar] = []
             alive = _EVAL[type(s.cond)](self, s.cond, frame, s.id, uses) != 0
-            self.emit(StmtExecuted(s.id, (), _ordered(uses)))
+            self.emit(frame.plans.get(s.id) or self.planned(s, frame, (), uses))
             if not alive:
-                self.emit(LoopExited(s.id))
+                self.emit(self.one(LoopExited(s.id)))
                 break
             self.exec_block(s.body, frame)
             self.charge(s)
@@ -337,67 +383,48 @@ class _Interp:
         uses: list[RuntimeVar] = []
         value = (None if s.value is None
                  else _EVAL[type(s.value)](self, s.value, frame, s.id, uses))
-        self.emit(StmtExecuted(s.id, (), _ordered(uses)))
+        self.emit(frame.plans.get(s.id) or self.planned(s, frame, (), uses))
         raise _ReturnSignal(value)
 
     # -- calls ---------------------------------------------------------------
 
     def exec_call(self, s: Call, frame: Frame) -> None:
-        receiver = frame.names[s.receiver.base]
         values = self.values
         free_from = self.next_oid
-        key = (id(s.resolved), frame.depth + 1, free_from)
-        plan = self.plans.get(key) or self.plan(key, s)
-        self.next_oid = plan.mark
-
-        transfers: list[tuple[RuntimeVar, tuple[RuntimeVar, ...]]] = []
-        copy_backs: list[tuple[RuntimeVar, RuntimeVar]] = []
-        for (formal, by_ref), a in zip(plan.formals, s.args):
-            if type(formal) is not dict:
-                arg_vars: list[RuntimeVar] = []
-                values[formal] = _EVAL[type(a)](self, a, frame, s.id, arg_vars)
-                pairs = [(formal, tuple(arg_vars))]
-            else:
-                actual = frame.names[a.base]
-                pairs = [(f_var, (actual[m],)) for m, f_var in formal.items()]
-                # an object formal starts as a member-wise copy of its actual
-                for f_var, (src,) in pairs:
-                    if src in values:
-                        values[f_var] = values[src]
-            transfers.extend(pairs)
-            if by_ref:
-                # a by-reference actual is a single variable
-                copy_backs.extend((f_var, srcs[0]) for f_var, srcs in pairs)
-
-        self.emit(CallEntered(s.id, plan.callee, tuple(transfers)))
-
+        site = frame.plans.get(s.id)
+        if site is None:
+            site = self.site(s, frame)
+        else:
+            for formal, a in site.ints:
+                values[formal] = _EVAL[type(a)](self, a, frame, s.id, [])
+        self.next_oid = site.plan.mark
+        # an object formal starts as a member-wise copy of its actual
+        for f_var, src in site.copies:
+            if src in values:
+                values[f_var] = values[src]
+        self.emit(site.entered)
         returned: int | None = None
         try:
-            self.exec_block(s.resolved.body, Frame(key[1], receiver, plan.names))
+            self.exec_block(s.resolved.body, site.frame)
         except _ReturnSignal as sig:
             returned = sig.value
-
+        ev = site.returned
         # by-ref copy-restore: the actual takes the formal's final value
-        for f_var, a_var in copy_backs:
+        for f_var, a_var in ev.copy_backs:
             if f_var in values:
                 values[a_var] = values[f_var]
             else:
                 values.pop(a_var, None)
-
-        returned_into = None
-        if s.assign_to is not None:
+        if ev.returned_into is not None:
             if returned is None:
                 self.emit(Warning(s.id, f"{s.receiver_cls}.{s.method} returned no value"))
                 returned = 0
-            returned_into = self.write(s.assign_to, frame, returned)
-
-        for var in plan.resets:
+            values[ev.returned_into] = returned
+        for var in ev.resets:
             values.pop(var, None)
-        self.emit(Returned(s.id, tuple(copy_backs), plan.resets, returned_into,
-                           self.ordered[id(receiver)]))
+        self.emit(ev)
         self.next_oid = free_from
-        self.emit(StmtExecuted(s.id, (returned_into,) if returned_into else (),
-                               _ordered([src for _, srcs in transfers for src in srcs])))
+        self.emit(site.executed)
 
 
 _EXEC = {Assign: _Interp.exec_assign, Input: _Interp.exec_input,
@@ -408,7 +435,10 @@ _EVAL = {Name: _Interp.eval_name, IntLit: _Interp.eval_int, BinOp: _Interp.eval_
 
 def _ordered(vs: list[RuntimeVar]) -> tuple[RuntimeVar, ...]:
     """The distinct vars of `vs`, sorted. Vars are interned, so equal vars are
-    the same object and identity de-duplicates them."""
+    the same object and identity de-duplicates them. It runs once per binding,
+    as a statement's plan is built; the sort stays only because, while two
+    live vars can share a display, the order decides which snapshot a slice
+    keeps."""
     if len(vs) > 1:
         vs = {id(v): v for v in vs}.values()
         if len(vs) > 1:

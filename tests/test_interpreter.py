@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from dynslice import (
@@ -311,3 +313,68 @@ def test_equal_vars_are_one_object():
                 fields.add(name)
     assert fields == {"defs", "uses", "transfers", "copy_backs", "resets",
                       "returned_into", "receiver_members"}
+
+
+def test_equal_events_are_one_object():
+    """Within one run, any two equal payload-free events are the same object:
+    a statement's events are made at its first execution in a binding and
+    emitted again on every later one."""
+    cases = [(SAMPLE_SOURCE, SAMPLE_INPUTS), (CALLS_SOURCE, (5,)), (BYREF_SOURCE, (7,)),
+             (REPEATED_WARNINGS_SOURCE, (3,))]
+    cases += [(g.source, g.inputs) for g in map(generate, range(50))]
+    repeats = 0
+    for source, inputs in cases:
+        events = [ev for ev in run(load(source), inputs).events
+                  if isinstance(ev, (StmtExecuted, CallEntered, Returned, LoopExited))]
+        first = {}
+        for ev in events:
+            assert first.setdefault(ev, ev) is ev, f"{ev} is a second object"
+        repeats += len(events) - len(first)
+    assert repeats > 0
+
+
+# each iteration repeats three warnings: an uninitialized read in a statement
+# (#6), an uninitialized int actual (#7) and, as in NO_RESULT_SOURCE, a
+# call-assignment whose callee returns no value (#8)
+REPEATED_WARNINGS_SOURCE = """\
+class box {
+    int v;
+public:
+    int get(int x) {
+        #3: if (x > 0) {
+            #4: return x;
+        }
+    }
+    void put(int x) {
+        #5: v = x;
+    }
+};
+
+void main() {
+    box b;
+    int r, u, w, n;
+    #1: cin >> n;
+    #2: while (n > 0) {
+        #6: w = u + 1;
+        #7: b.put(u);
+        #8: r = b.get(0);
+        #9: n = n - 1;
+    }
+    #10: cout << r;
+}
+"""
+
+# sha256 of its trace at input 3
+REPEATED_WARNINGS_TRACE = "f1d8211dd6c796ea08db210ce5714144ae834c5c3d52d20809a8c7a526fa58d8"
+
+
+def test_value_events_stay_per_execution():
+    """A statement's plan holds only its payload-free events: every iteration
+    still warns, each time just before the StmtExecuted, CallEntered or
+    Returned the warning belongs to."""
+    events = run(load(REPEATED_WARNINGS_SOURCE), (3,)).events
+    placed = [(ev.id, type(nxt).__name__, getattr(nxt, "call_site", getattr(nxt, "id", None)))
+              for ev, nxt in zip(events, events[1:]) if isinstance(ev, Warning)]
+    assert placed == [(6, "StmtExecuted", 6), (7, "CallEntered", 7), (8, "Returned", 8)] * 3
+    assert hashlib.sha256(serialize_trace(events).encode()).hexdigest() \
+        == REPEATED_WARNINGS_TRACE

@@ -179,15 +179,42 @@ void main() {
 }
 """
 
+# one method, at one depth and from one free id, writes the member of two
+# receivers: the statements in its frame name a's m on a and b's m on b
+TWO_RECEIVERS_SOURCE = """\
+class c {
+    int m;
+public:
+    void inc() {
+        #5: m = m + 1;
+    }
+};
+
+void main() {
+    c a, b;
+    int n;
+    #1: cin >> n;
+    #2: while (n > 0) {
+        #3: a.inc();
+        #4: b.inc();
+        #6: n = n - 1;
+    }
+    #7: cout << a.m;
+    #8: cout << b.m;
+}
+"""
+
 # sha256 of `trace`'s stdout, with its exit code, on call shapes the digest
 # corpus lacks: RECURSIVE_SOURCE runs one method at several depths and reuses
 # object ids (at 300,1 the prefix written before the stack overflow),
-# SHARED_DEPTH_SOURCE runs one method at one depth from two free ids
+# SHARED_DEPTH_SOURCE runs one method at one depth from two free ids, and
+# TWO_RECEIVERS_SOURCE on two receivers
 CALL_FRAME_DIGESTS = {
     ("recursive", "2,1"): (0, "e972027b0ef7c6e39facbbedfe8a53392a2e784bd4f4b479261c7a46cf133965"),
     ("recursive", "4,3"): (0, "e1e7892d0e43b4f4b6168d04427a5c5a04e5ca45ec42a6d440d938fabdf413ca"),
     ("recursive", "300,1"): (3, "c8192879eddedec92930c9ea03ea42be44d6423ac3000d97e6b989d1825fe535"),
     ("shared_depth", "3"): (0, "324c443c4f73d5a095a323d6650a56fd257f9625492f29abfe4d9da49e493f91"),
+    ("two_receivers", "3"): (0, "2445d2bc1e8cb00a8da14167e86120df8586144d869e6af05a5c8450d0b81d88"),
 }
 
 # the first Returned of SAMPLE_SOURCE (T1.get(p, q)): T1's members and the
@@ -544,11 +571,26 @@ def test_frame_plans_follow_the_program_not_the_run(monkeypatch):
     assert builds(SHARED_DEPTH_SOURCE, (3,)) == 4
 
 
+def test_event_objects_follow_the_program_not_the_run():
+    """A statement's payload-free events are made once per binding, so the
+    distinct event objects a run emits do not grow with its length."""
+    def made(source, inputs) -> int:
+        result = run(load(source), inputs)
+        assert result.ok
+        return len({id(ev) for ev in result.events
+                    if isinstance(ev, (StmtExecuted, CallEntered, Returned, LoopExited))})
+
+    assert made(CALLS_SOURCE, (10,)) == made(CALLS_SOURCE, (1000,))
+    assert made(STREAM_SOURCE, (10,)) == made(STREAM_SOURCE, (1000,))
+    assert made(RECURSIVE_SOURCE, (2, 1)) == made(RECURSIVE_SOURCE, (2, 3))
+
+
 @pytest.mark.parametrize("program,inputs", sorted(CALL_FRAME_DIGESTS))
 def test_call_frame_trace_digest(tmp_path, capsys, program, inputs):
     src = tmp_path / "p.mini"
     src.write_text({"recursive": RECURSIVE_SOURCE,
-                    "shared_depth": SHARED_DEPTH_SOURCE}[program])
+                    "shared_depth": SHARED_DEPTH_SOURCE,
+                    "two_receivers": TWO_RECEIVERS_SOURCE}[program])
     code, digest = CALL_FRAME_DIGESTS[program, inputs]
     assert main(["trace", str(src), "--inputs", inputs]) == code
     assert sha256(capsys.readouterr().out) == digest
