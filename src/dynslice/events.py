@@ -23,8 +23,8 @@ sort_keys=True)`` of that record: strings ASCII-escaped, ``", "`` and
 ``from_json`` is the schema that checks a line read back in. It reads the
 fields in the order ``to_line`` writes them, each decoded by its name from
 one table, so a var is always spelled out before its index. A spelled-out
-var it has met before is the same object and takes no new index, so a trace
-that spells out every var, the format before indices, reads the same.
+var takes the next index, the writer's own rule; the writer spells each var
+out once, so a parsed trace holds one RuntimeVar per location.
 ``validate_trace`` checks a parsed trace against the program it is replayed
 on, so that neither engine meets an event it cannot place.
 
@@ -35,8 +35,7 @@ has written before is the bare int line ``N``, its index among the payload-free
 events written so far, counted from 0. InputConsumed, OutputProduced and
 Warning carry run values and are always written in full. ``parse_trace``
 numbers each new payload-free line it reads the same way, so an index is a
-line already decoded. A trace that writes every event in full, the format
-before back-references, reads the same.
+line already decoded.
 """
 
 from __future__ import annotations
@@ -128,50 +127,44 @@ class Warning(ExecEvent):
 # JSON trace round-trip
 # ---------------------------------------------------------------------------
 
-def _rv_from(d, interned: dict, seen: list) -> RuntimeVar:
+def _rv_from(d, seen: list) -> RuntimeVar:
     """The var a record names: an int is its index in `seen`, the trace's vars
-    in order of first appearance. A spelled-out var is checked first, since
-    its fields become a key, then is the one RuntimeVar `interned` holds for
-    those fields; only a var new to the trace takes the next index."""
+    in order of first appearance, and a spelled-out var is checked, then
+    takes the next index."""
     if type(d) is int:
         if 0 <= d < len(seen):
             return seen[d]
         raise ValueError(f"no variable {d}: {len(seen)} seen so far")
     if type(d) is not dict:
         raise ValueError(f"malformed variable: {d!r}")
-    key = (d["kind"], d["owner"], d["name"], d["display"])
-    if (key[0] not in ("local", "member") or type(key[1]) is not int
-            or type(key[2]) is not str or type(key[3]) is not str):
+    rv = RuntimeVar(d["kind"], d["owner"], d["name"], d["display"])
+    if (rv.kind not in ("local", "member") or type(rv.owner) is not int
+            or type(rv.name) is not str or type(rv.display) is not str):
         raise ValueError(f"malformed variable: {d!r}")
-    rv = interned.get(key)
-    if rv is None:
-        rv = interned[key] = RuntimeVar(*key)
-        seen.append(rv)
+    seen.append(rv)
     return rv
 
 
-def _rvs_from(items, interned: dict, seen: list) -> tuple[RuntimeVar, ...]:
-    return tuple([_rv_from(d, interned, seen) for d in items])
+def _rvs_from(items, seen: list) -> tuple[RuntimeVar, ...]:
+    return tuple([_rv_from(d, seen) for d in items])
 
 
-def from_json(d: dict, interned: dict, seen: list) -> ExecEvent:
-    """The event a decoded line holds. Vars are shared through `interned`,
-    (kind, owner, name, display) -> RuntimeVar, as the interpreter shares them,
-    and `seen` lists them by index. Fields are read in `_line_parts`' order,
-    the sorted-key order `to_line` writes them, so a var is spelled out before
-    its index; each is decoded by its name, in `_DECODE`."""
+def from_json(d: dict, seen: list) -> ExecEvent:
+    """The event a decoded line holds, its vars listed by index in `seen`.
+    Fields are read in `_line_parts`' order, the sorted-key order `to_line`
+    writes them, so a var is spelled out before its index; each is decoded
+    by its name, in `_DECODE`."""
     kind = d.get("event") if isinstance(d, dict) else None
     cls = _EVENTS.get(kind) if type(kind) is str else None
     if cls is None:
         raise ValueError(f"malformed trace record: {d!r}")
-    return cls(**{n: _DECODE.get(n, _plain)(d[n], interned, seen)
-                  for n in _line_parts(cls)[1]})
+    return cls(**{n: _DECODE.get(n, _plain)(d[n], seen) for n in _line_parts(cls)[1]})
 
 
 _EVENTS = {cls.__name__: cls for cls in ExecEvent.__subclasses__()}
 
 
-def _plain(x, interned: dict, seen: list):
+def _plain(x, seen: list):
     return x
 
 
@@ -179,12 +172,11 @@ def _plain(x, interned: dict, seen: list):
 _DECODE = {
     "defs": _rvs_from, "uses": _rvs_from, "resets": _rvs_from,
     "receiver_members": _rvs_from,
-    "transfers": lambda x, interned, seen: tuple([
-        (_rv_from(f, interned, seen), _rvs_from(srcs, interned, seen)) for f, srcs in x]),
-    "copy_backs": lambda x, interned, seen: tuple([
-        (_rv_from(f, interned, seen), _rv_from(a, interned, seen)) for f, a in x]),
-    "returned_into": lambda x, interned, seen:
-        None if x is None else _rv_from(x, interned, seen),
+    "transfers": lambda x, seen: tuple([(_rv_from(f, seen), _rvs_from(srcs, seen))
+                                        for f, srcs in x]),
+    "copy_backs": lambda x, seen: tuple([(_rv_from(f, seen), _rv_from(a, seen))
+                                         for f, a in x]),
+    "returned_into": lambda x, seen: None if x is None else _rv_from(x, seen),
 }
 
 
@@ -275,17 +267,15 @@ def serialize_trace(events) -> str:
 def parse_trace(text: str) -> list[ExecEvent]:
     """The events of a trace, with one RuntimeVar per location as in a run.
 
-    A line read before is the same event again: the var table only grows,
-    and a var spelled out again takes no new index, so the line's indices and
-    vars name what they named the first time. Vars name what is live, a local
-    by call depth, so calls at one depth repeat their lines as loops do, and
-    those are decoded once. Only lines without a `_PAYLOADS` value are kept
-    for that, so the cache is bounded by the program, not by the run's values.
+    Vars name what is live, a local by call depth, so calls at one depth
+    repeat their lines as loops do, and a line read before is decoded once:
+    it is the same event again. Only lines without a `_PAYLOADS` value are
+    kept for that, so the cache is bounded by the program, not by the run's
+    values.
     The i-th new such line is also kept under the text ``str(i)``, so a
     back-reference `line_writer` wrote is a hit too; any other int line is
     malformed."""
     events = []
-    interned: dict = {}
     seen: list = []
     read: dict[str, ExecEvent] = {}
     kept = 0  # new payload-free lines so far
@@ -298,7 +288,7 @@ def parse_trace(text: str) -> list[ExecEvent]:
                 d = json.loads(line)
                 if type(d) is int:
                     raise ValueError(f"no line {d}: {kept} read so far")
-                ev = from_json(d, interned, seen)
+                ev = from_json(d, seen)
             except (ValueError, KeyError, TypeError) as exc:
                 raise ValueError(f"malformed trace at line {lineno}: {exc}") from exc
             if type(ev) not in _PAYLOADS:  # names only nodes and vars
@@ -312,17 +302,18 @@ def validate_trace(events: list[ExecEvent], graph: Cdg) -> None:
     """Reject (ValueError) a parsed trace that this program's runs cannot
     produce: a node id it does not have, a node outside the procedure that is
     running (the innermost open call's callee, or main), a node before its
-    governing test, a LoopExited off a loop, a CallEntered off a call
-    statement or into no method of the program, a Returned without its
-    CallEntered, or an input, output or warning payload of the wrong type."""
+    governing test in the same activation, a LoopExited off a loop, a
+    CallEntered off a call statement or into no method of the program, a
+    Returned without its CallEntered, or an input, output or warning payload
+    of the wrong type."""
     methods = set(graph.entry_order) - {"main"}
     entry: dict[int, str] = {}  # node -> the procedure it belongs to
     for sid, p in graph.parent.items():
         while isinstance(p, int):
             p = graph.parent[p]
         entry[sid] = p
-    executed: set[int] = set()
-    open_calls: list[tuple[int, str]] = []  # (call site, callee)
+    executed: set[int] = set()  # the nodes run in the running activation
+    open_calls: list[tuple[int, str, set[int]]] = []  # (call site, callee, caller's executed)
     for i, ev in enumerate(events, start=1):
         if isinstance(ev, CallEntered):
             if type(ev.callee) is not str or ev.callee not in methods:
@@ -331,9 +322,10 @@ def validate_trace(events: list[ExecEvent], graph: Cdg) -> None:
             node = ev.call_site
         elif isinstance(ev, Returned):
             node = ev.call_site
-            if not open_calls or open_calls.pop()[0] != node:
+            if not open_calls or open_calls[-1][0] != node:
                 raise ValueError(f"trace event {i}: Returned from {node!r} "
                                  "without its CallEntered")
+            executed = open_calls.pop()[2]
         else:
             node = ev.id
             if type(ev) in _PAYLOADS:
@@ -346,19 +338,20 @@ def validate_trace(events: list[ExecEvent], graph: Cdg) -> None:
             raise ValueError(f"trace event {i}: no node {node!r} in this program")
         running = open_calls[-1][1] if open_calls else "main"
         # a call that assigns a missing result warns at its own site after the
-        # callee's last event and before Returned
+        # callee's last event and before Returned, in the caller's activation
         returning = isinstance(ev, Warning) and open_calls and open_calls[-1][0] == node
         if entry[node] != running and not returning:
             raise ValueError(f"trace event {i}: {type(ev).__name__} at node {node} "
                              f"of {entry[node]} while {running} runs")
         test = graph.parent_test(node)
-        if test is not None and test not in executed:
+        if test is not None and test not in (open_calls[-1][2] if returning else executed):
             raise ValueError(f"trace event {i}: node {node} before its test {test}")
         if isinstance(ev, LoopExited) and graph.kind(node) != "TestLoop":
             raise ValueError(f"trace event {i}: LoopExited on non-loop node {node}")
         if isinstance(ev, CallEntered):
             if graph.kind(node) != "Call":
                 raise ValueError(f"trace event {i}: CallEntered at non-call node {node}")
-            open_calls.append((node, ev.callee))
+            open_calls.append((node, ev.callee, executed))
+            executed = set()
         if isinstance(ev, StmtExecuted):
             executed.add(node)

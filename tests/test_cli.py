@@ -5,15 +5,19 @@ import json
 
 import pytest
 
-from dynslice import build_cdg, init, load, oracle, parse_trace, run, serialize_trace
-from dynslice.cli import main
-from dynslice.events import LoopExited, StmtExecuted, Warning
+from dynslice import (build_cdg, generate, init, load, oracle, parse_trace, run,
+                      serialize_trace)
+from dynslice.cli import main, run_check
+from dynslice.events import LoopExited, StmtExecuted, Warning, validate_trace
 from dynslice.fixtures import (
     CALLS_SOURCE,
     CONST_LOOP_SOURCE,
     LOOP_SOURCE,
+    SAMPLE_INPUTS,
     SAMPLE_SOURCE,
 )
+
+from test_interpreter import REPEATED_WARNINGS_SOURCE
 
 
 @pytest.fixture()
@@ -394,6 +398,79 @@ def test_check_rejects_trace_of_another_program(tmp_path, capsys, record, messag
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+# f's `if` runs once per call: cut the second call's run of it, and the
+# first call's is the only one before the second call's node 2
+TWO_CALLS_SOURCE = """\
+class c {
+    int m;
+public:
+    void f(int n) {
+        #1: if (n > 0) {
+            #2: m = n;
+        }
+    }
+};
+
+void main() {
+    c o;
+    #3: o.f(1);
+    #4: o.f(2);
+}
+"""
+
+
+def test_check_rejects_a_test_run_only_in_an_earlier_call(tmp_path, capsys):
+    """A node's test must have run in the node's own activation: with the
+    second call's run of test 1 cut out, its node 2 has no test occurrence
+    for the oracle to point at, and `check` exits 2."""
+    src = tmp_path / "p.mini"
+    src.write_text(TWO_CALLS_SOURCE)
+    assert main(["trace", str(src)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[6] == "1"  # the second call's StmtExecuted of test 1
+    trace = tmp_path / "cut.ndjson"
+    trace.write_text("\n".join(lines[:6] + lines[7:]) + "\n")
+    assert main(["check", str(src), "--trace", str(trace)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "trace event 7: node 2 before its test 1" in captured.err
+
+
+def test_check_replays_a_missing_result_warning(tmp_path, capsys):
+    """The warning of a call-assignment whose callee returned no value comes
+    while the callee is still open; its test is the caller's."""
+    src = tmp_path / "p.mini"
+    src.write_text(REPEATED_WARNINGS_SOURCE)
+    assert main(["trace", str(src), "--inputs", "3"]) == 0
+    trace = tmp_path / "t.ndjson"
+    trace.write_text(capsys.readouterr().out)
+    assert main(["check", str(src), "--trace", str(trace)]) == 0
+    assert "criteria agree" in capsys.readouterr().out
+
+
+def test_a_trace_without_a_test_run_is_rejected_or_replayed():
+    """Dropping any one StmtExecuted of a test either makes `validate_trace`
+    reject the trace or leaves one that both engines replay to the end."""
+    cases = [(SAMPLE_SOURCE, SAMPLE_INPUTS)]
+    cases += [(g.source, g.inputs) for g in map(generate, range(30))]
+    cuts = 0
+    for source, inputs in cases:
+        program = load(source)
+        graph = build_cdg(program)
+        events = run(program, inputs).events
+        for i, ev in enumerate(events):
+            if type(ev) is not StmtExecuted or graph.kind(ev.id) not in ("Test", "TestLoop"):
+                continue
+            cut = events[:i] + events[i + 1:]
+            cuts += 1
+            try:
+                validate_trace(cut, graph)
+            except ValueError:
+                continue
+            run_check(graph, cut)
+    assert cuts > 300
 
 
 def test_check_flags_corrupted_trace(tmp_path, capsys):

@@ -4,43 +4,23 @@ change to the encoder that alters a single character fails this file."""
 from __future__ import annotations
 
 import hashlib
-import importlib.util
 import json
-import os
-import subprocess
-import sys
 import tracemalloc
 from functools import cache
-from pathlib import Path
 
 import pytest
 
-from dynslice import (RuntimeVar, build_cdg, generate, interpreter, load, parse_trace, run,
+from dynslice import (RuntimeVar, generate, interpreter, load, parse_trace, run,
                       serialize_trace)
-from dynslice.cdg import entry_key
 from dynslice.cli import main
 from dynslice.events import (CallEntered, InputConsumed, LoopExited, OutputProduced,
                              Returned, StmtExecuted, Warning, to_line)
 from dynslice.fixtures import CALLS_SOURCE, SAMPLE_INPUTS, SAMPLE_SOURCE, STREAM_SOURCE
 
-from test_interpreter import _named_vars
-
-ROOT = Path(__file__).resolve().parent.parent
-TOOL = ROOT / "tools" / "upgrade_trace.py"
-
 # sha256 of the SAMPLE_SOURCE trace followed by the traces of generator seeds
 # 0..199, each with its own var and event tables; together they hold all 7
 # event kinds, copy-backs, returned_into and back-references
 CORPUS_DIGEST = "e6882cf20df3f15fc11d1657c68d599bea7ee9d81d0d2e9cb46a7f517b72ff52"
-
-# the same corpus in the format before it, every event written in full
-VAR_INDEX_DIGEST = "328066ed0408f5aadc17bac0afb084e73cc80c25393544e9908b78ae3ac8f84d"
-
-# and in the format before that, every var spelled out
-SPELLED_DIGEST = "ebc70c054133b5ba0adaba6ff700850c03d04981306b8377f0183ef42803d710"
-
-# and in the format before CallEntered was flattened
-UNFLATTENED_DIGEST = "90a02960efb28315dd7ee341943dde9e3a5602530ee1e70fc3feb2010399b8f2"
 
 # the first CallEntered of SAMPLE_SOURCE with object formals (T3.add(T1, T2)):
 # the formals' members are new, their sources T1.a, T1.b, T2.a, T2.b are not;
@@ -52,22 +32,6 @@ CALL_ENTERED_LINE = (
     '[{"display": "tp1.b", "kind": "member", "name": "b", "owner": 5}, [5]], '
     '[{"display": "tp2.a", "kind": "member", "name": "a", "owner": 6}, [6]], '
     '[{"display": "tp2.b", "kind": "member", "name": "b", "owner": 6}, [7]]]}'
-)
-
-# the same call as written before CallEntered was flattened
-OLD_CALL_ENTERED_LINE = (
-    '{"bindings": [{"by_ref": false, "formal": "tp1", "kind": "object", "transfers": '
-    '[[{"display": "tp1.a", "kind": "member", "name": "a", "owner": 5}, '
-    '[{"display": "T1.a", "kind": "member", "name": "a", "owner": 1}]], '
-    '[{"display": "tp1.b", "kind": "member", "name": "b", "owner": 5}, '
-    '[{"display": "T1.b", "kind": "member", "name": "b", "owner": 1}]]]}, '
-    '{"by_ref": false, "formal": "tp2", "kind": "object", "transfers": '
-    '[[{"display": "tp2.a", "kind": "member", "name": "a", "owner": 6}, '
-    '[{"display": "T2.a", "kind": "member", "name": "a", "owner": 2}]], '
-    '[{"display": "tp2.b", "kind": "member", "name": "b", "owner": 6}, '
-    '[{"display": "T2.b", "kind": "member", "name": "b", "owner": 2}]]]}], '
-    '"call_site": 13, "callee": {"cls": "test", "name": "add", '
-    '"param_types": ["test", "test"]}, "event": "CallEntered"}'
 )
 
 # CALLS_SOURCE on input 3 as written when a local was owned by its frame's
@@ -226,16 +190,15 @@ RETURNED_LINE = (
 
 
 @cache
-def corpus_runs() -> tuple[tuple, ...]:
-    """(program, events) of SAMPLE_SOURCE, then of generator seeds 0..199."""
+def corpus_runs() -> tuple[list, ...]:
+    """The events of SAMPLE_SOURCE, then of generator seeds 0..199."""
     cases = [(SAMPLE_SOURCE, SAMPLE_INPUTS)]
     cases += [(g.source, g.inputs) for g in map(generate, range(200))]
-    return tuple((p, run(p, inputs).events) for p, inputs in
-                 ((load(source), inputs) for source, inputs in cases))
+    return tuple(run(load(source), inputs).events for source, inputs in cases)
 
 
 def sample_trace() -> str:
-    return serialize_trace(corpus_runs()[0][1])
+    return serialize_trace(corpus_runs()[0])
 
 
 def sha256(text: str) -> str:
@@ -257,66 +220,12 @@ def _plain(x, seen: dict | None):
     return x
 
 
-def reference_record(ev, seen: dict | None = None) -> dict:
-    """The event as plain data, its fields taken in sorted-key order, the
-    order in which a line is written and read."""
+def reference_line(ev, seen: dict | None = None) -> str:
+    """The event's line from its fields as plain data, taken in sorted-key
+    order, the order in which a line is written and read."""
     record = {k: _plain(v, seen) for k, v in sorted(vars(ev).items())}
     record["event"] = type(ev).__name__
-    return record
-
-
-def reference_line(ev, seen: dict | None = None) -> str:
-    return json.dumps(reference_record(ev, seen), sort_keys=True) + "\n"
-
-
-def var_index_trace(events) -> str:
-    """The trace in the format before back-references: every event in full."""
-    seen: dict = {}
-    return "".join(to_line(ev, seen) for ev in events)
-
-
-def spelled_trace(events) -> str:
-    """The trace in the format before var indices: every var spelled out."""
-    return "".join(reference_line(ev) for ev in events)
-
-
-@cache
-def spelled_corpus() -> tuple[str, ...]:
-    return tuple(spelled_trace(events) for _, events in corpus_runs())
-
-
-def unflattened_trace(program, events) -> str:
-    """The trace in the format before CallEntered was flattened: every var
-    spelled out, an AboutToReturn record before each Return's StmtExecuted,
-    and each CallEntered with a callee object and per-formal bindings."""
-    graph = build_cdg(program)
-    methods = {entry_key(c.name, m): (c.name, m) for c in program.classes for m in c.methods}
-    records = []
-    for ev in events:
-        record = reference_record(ev)
-        if type(ev) is StmtExecuted and graph.kind(ev.id) == "Return":
-            records.append({"event": "AboutToReturn", "id": ev.id, "uses": record["uses"]})
-        if type(ev) is CallEntered:
-            cls, method = methods[record["callee"]]
-            record["callee"] = {"cls": cls, "name": method.name,
-                                "param_types": list(method.signature.param_types)}
-            transfers = iter(record.pop("transfers"))
-            record["bindings"] = []
-            for f in method.formals:
-                n = 1 if f.type == "int" else len(graph.members[f.type])
-                pairs = [next(transfers) for _ in range(n)]
-                kind = "object" if f.type != "int" else "var" if pairs[0][1] else "literal"
-                record["bindings"].append({"by_ref": f.by_ref, "formal": f.name,
-                                           "kind": kind, "transfers": pairs})
-        records.append(record)
-    return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
-
-
-def upgrade_tool():
-    spec = importlib.util.spec_from_file_location("upgrade_trace", TOOL)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    return tool
+    return json.dumps(record, sort_keys=True) + "\n"
 
 
 def test_sample_trace_lines_are_exact():
@@ -327,7 +236,7 @@ def test_sample_trace_lines_are_exact():
 
 
 def test_trace_corpus_digest():
-    text = "".join(serialize_trace(events) for _, events in corpus_runs())
+    text = "".join(serialize_trace(events) for events in corpus_runs())
     assert sha256(text) == CORPUS_DIGEST
 
 
@@ -335,7 +244,7 @@ def test_writer_matches_json_dumps():
     """to_line writes each value by its type and each var once; json.dumps of
     the event as plain dicts and lists, each var already written replaced by
     its index, is the reference it must equal byte for byte."""
-    for _, events in corpus_runs():
+    for events in corpus_runs():
         written, referenced = {}, {}
         for ev in events:
             assert to_line(ev, written) == reference_line(ev, referenced)
@@ -414,49 +323,13 @@ def test_calls_trace_grows_by_back_references():
     assert bytes_large - bytes_small < 4 * (events_large - events_small)
 
 
-def test_a_var_spelled_out_again_takes_no_new_index():
+def test_a_var_spelled_out_again_takes_the_next_index():
+    """A spelled-out var is new to the trace, as `to_line` writes it: one
+    spelled out again takes the next index, whatever it equals."""
     n, t = RuntimeVar("local", 1, "n", "n"), RuntimeVar("local", 1, "t", "t")
     text = "".join(reference_line(StmtExecuted(i, (v,), ())) for i, v in enumerate((n, n, t)))
-    text += '{"defs": [1], "event": "StmtExecuted", "id": 3, "uses": [0]}\n'
-    assert parse_trace(text)[-1] == StmtExecuted(3, (t,), (n,))
-
-
-def test_upgrade_trace_rewrites_old_records():
-    """An old call is flattened and its vars spelled out once, and an
-    AboutToReturn record is dropped."""
-    call = next(ev for ev in corpus_runs()[0][1]
-                if type(ev) is CallEntered and ev.callee == "test.add(test,test)")
-    old = "\n".join([OLD_CALL_ENTERED_LINE,
-                     '{"event": "AboutToReturn", "id": 4, "uses": []}', ""])
-    assert upgrade_tool().upgrade(old) == serialize_trace([call])
-
-
-def test_upgrade_trace_rewrites_old_corpora():
-    """The three earlier formats of the digest corpus, each trace upgraded on
-    its own, become today's corpus byte for byte; today's passes unchanged."""
-    tool = upgrade_tool()
-    var_index = [var_index_trace(events) for _, events in corpus_runs()]
-    spelled = spelled_corpus()
-    unflattened = [unflattened_trace(p, events) for p, events in corpus_runs()]
-    assert sha256("".join(var_index)) == VAR_INDEX_DIGEST
-    assert sha256("".join(spelled)) == SPELLED_DIGEST
-    assert sha256("".join(unflattened)) == UNFLATTENED_DIGEST
-    for old in (var_index, spelled, unflattened):
-        assert sha256("".join(map(tool.upgrade, old))) == CORPUS_DIGEST
-    for _, events in corpus_runs():
-        today = serialize_trace(events)
-        assert tool.upgrade(today) == today
-    calls = serialize_trace(run(load(CALLS_SOURCE), (100,)).events)
-    assert tool.upgrade(calls) == calls
-
-
-def test_upgrade_trace_script():
-    old = unflattened_trace(*corpus_runs()[0])
-    assert OLD_CALL_ENTERED_LINE in old.splitlines()
-    done = subprocess.run([sys.executable, str(TOOL)], input=old,
-                          capture_output=True, text=True, check=True,
-                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
-    assert done.stdout == sample_trace()
+    text += '{"defs": [2], "event": "StmtExecuted", "id": 3, "uses": [1, 0]}\n'
+    assert parse_trace(text)[-1] == StmtExecuted(3, (t,), (n, n))
 
 
 @pytest.mark.parametrize("source,inputs", [(SAMPLE_SOURCE, SAMPLE_INPUTS),
@@ -464,31 +337,17 @@ def test_upgrade_trace_script():
                                            (CALLS_SOURCE, (50,))],
                          ids=["sample", "loop", "calls"])
 def test_check_replays_both_formats_alike(tmp_path, capsys, source, inputs):
-    """`check --trace` prints the same for a trace in today's format and in
-    the previous one."""
+    """`check --trace` prints the same for a run's trace as `check` prints
+    for the run itself."""
     src = tmp_path / "p.mini"
     src.write_text(source)
     trace = tmp_path / "t.ndjson"
-    events = run(load(source), inputs).events
+    trace.write_text(serialize_trace(run(load(source), inputs).events))
     outputs = []
-    for text in (serialize_trace(events), spelled_trace(events)):
-        trace.write_text(text)
-        outputs.append((main(["check", str(src), "--trace", str(trace)]),
-                        *capsys.readouterr()))
+    for how in (["--inputs", ",".join(map(str, inputs))], ["--trace", str(trace)]):
+        outputs.append((main(["check", str(src), *how]), *capsys.readouterr()))
     assert outputs[0] == outputs[1]
     assert outputs[0][0] == 0 and "criteria agree" in outputs[0][1]
-
-
-def test_previous_format_reads_alike():
-    """A trace with every var spelled out reads to the same events, one object
-    per location. `check --trace` reads nothing else from a trace, so its
-    output is the same too; the test above shows it on three programs."""
-    for (_, events), old in zip(corpus_runs(), spelled_corpus()):
-        parsed = parse_trace(old)
-        assert parsed == parse_trace(serialize_trace(events)) == events
-        first = {}
-        for name, v in (nv for ev in parsed for nv in _named_vars(ev)):
-            assert first.setdefault(v, v) is v, f"{v} in {name} is a second object"
 
 
 def test_trace_with_serial_owners_replays_alike(tmp_path, capsys):
