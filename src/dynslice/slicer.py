@@ -1,30 +1,29 @@
 """Streaming dynamic slicer.
 
-Consumes the execution event stream and maintains the live slice state:
-ActiveDataSlice per runtime variable, ActiveControlSlice per test node of
-the running activation (a caller's table is saved on CallEntered and
-restored on Returned, so a recursive call's tests cannot change its
-caller's control slices), ActiveCallSlice with its stack, ActiveReturnSlice
-(set when a Return statement executes, cleared on Returned), and the
-accumulated DyanSlice table with last-execution semantics. The table is keyed by
-(node, display name), exactly what `slice_of` and `criteria()` look up, so a
-node that runs in many frames keeps one entry per name rather than one per
-activation. No event history is kept and callee locals die with their frame,
-so state size is bounded by the program's variables and nodes regardless of
-how long the run is, calls in loops included; `peak_cardinality` makes that
-measurable. Feed events one at a time (`feed` as `interpreter.run`'s sink)
-or replay a buffered list (`consume`).
+Consumes the execution event stream and keeps the live slice state:
+ActiveDataSlice per runtime variable, ActiveControlSlice per test node of the
+running activation (a caller's table is saved on CallEntered and restored on
+Returned, so a recursive call's tests cannot change its caller's control
+slices), ActiveCallSlice with its stack, ActiveReturnSlice (set by a Return
+statement, cleared on Returned), and the DyanSlice table of each node's last
+execution, keyed by (node, display name) as `slice_of` and `criteria()` look it
+up. No event history is kept and callee locals die with their frame, so the
+state is bounded by the program's variables and nodes however long the run is,
+calls in loops included; `peak_cardinality` measures it. Feed events one at a
+time (`feed` as `interpreter.run`'s sink) or replay a list (`consume`).
 
-Every slice is held as a Python-int bitset over statement ids (bit u set
-when statement u is in it), so a union is one `|` and a size one
-`int.bit_count()`; `slice_of` and `slice_of_object` hand out a frozenset of
-ids (`ids_of`). Ints are immutable: a DyanSlice entry is a snapshot taken
-when its node executed and later state changes cannot leak into it. Each
-node's kind and governing test are looked up in tables built once per state.
-State changes size only through `_put`/`_drop` (the keyed stores
-active_data, active_control and dyn_table), `_set_call`/`_set_return`, the
-call-stack push and pop and the swap of control tables at a call's ends;
-each keeps the running `cardinality()` in step.
+Every slice is a Python-int bitset over statement ids (bit u set when statement
+u is in it), so a union is one `|` and a size one `int.bit_count()`; `slice_of`
+and `slice_of_object` hand out frozensets (`ids_of`). Ints are immutable, so a
+DyanSlice entry is a snapshot that later state changes cannot leak into.
+
+A payload-free event object (StmtExecuted, CallEntered, Returned, LoopExited)
+becomes a step when first fed: its node's bit and test, the vars it reads and
+writes and its DyanSlice keys. The interpreter emits one such object per
+statement and binding, and `parse_trace` one per distinct line, so the step
+table is bounded by the program. A runner keeps `cardinality()` exact, but a
+store of an unchanged value skips the bit counts; it is still written, since an
+absent key is a criterion that never ran.
 """
 
 from __future__ import annotations
@@ -32,14 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .cdg import Cdg
-from .events import (
-    CallEntered,
-    ExecEvent,
-    LoopExited,
-    Returned,
-    RuntimeVar,
-    StmtExecuted,
-)
+from .events import CallEntered, ExecEvent, LoopExited, Returned, RuntimeVar, StmtExecuted
 
 
 def ids_of(bits: int) -> frozenset[int]:
@@ -68,24 +60,19 @@ class SliceState:
     updates: int = 0
     peak_cardinality: int = 0
     _card: int = 0
-
-    def __post_init__(self):
-        self._kind = {u: info.kind for u, info in self.cdg.nodes.items()}
-        self._test = {u: self.cdg.parent_test(u) for u in self.cdg.nodes}
+    # id(event) -> (runner, step, event); holding the event keeps its id unused
+    _steps: dict[int, tuple] = field(default_factory=dict, init=False)
 
     # -- event consumption ----------------------------------------------------
 
     def feed(self, ev: ExecEvent) -> "SliceState":
         self.events += 1
-        if isinstance(ev, StmtExecuted):
-            self.on_stmt(ev)
-        elif isinstance(ev, CallEntered):
-            self.on_call(ev)
-        elif isinstance(ev, Returned):
-            self.on_return(ev)
-        elif isinstance(ev, LoopExited):
-            self.on_loop_exit(ev)
-        # input/output/warning events carry no slice information
+        entry = self._steps.get(id(ev))
+        if entry is None:
+            if not isinstance(ev, (StmtExecuted, CallEntered, Returned, LoopExited)):
+                return self  # input/output/warning carry no slice information
+            entry = self._steps[id(ev)] = self._step(ev)
+        entry[0](self, entry[1])
         if self._card > self.peak_cardinality:
             self.peak_cardinality = self._card
         return self
@@ -95,70 +82,105 @@ class SliceState:
             self.feed(ev)
         return self
 
-    def on_stmt(self, ev: StmtExecuted) -> None:
-        u = ev.id
-        ctrl = self._ctrl(u)
-        active_data = self.active_data
-        use_union = 0
-        for v in ev.uses:
-            use_union |= active_data.get(v, 0)
-        kind = self._kind[u]
+    def _step(self, ev: ExecEvent) -> tuple:
+        """(runner, step, ev) of a payload-free event."""
+        cdg, kind = self.cdg, type(ev)
+        if kind is StmtExecuted:
+            u, node = ev.id, cdg.kind(ev.id)
+            defs = () if node == "Call" else ev.defs  # at a call, the Returned wrote them
+            tail = u if node in ("Test", "TestLoop") else "Return" if node == "Return" else None
+            # a DyanSlice key met twice keeps the var whose snapshot is written last
+            snaps = {}
+            for v in ev.defs + ev.uses:
+                snaps[u, v.display] = v
+            snaps = tuple(snaps.items())
+            return SliceState._stmt, (1 << u, cdg.parent_test(u), ev.uses, defs, snaps, tail,
+                                      len(defs) + len(ev.defs) + len(ev.uses) + (tail == u)), ev
+        # an Entry-governed node's test is None, which no active_control key is
+        if kind is CallEntered:
+            u = ev.call_site
+            return SliceState._call, (1 << u, cdg.parent_test(u), ev.transfers), ev
+        if kind is Returned:
+            u, into = ev.call_site, ev.returned_into
+            copies = ev.copy_backs + ((None, into),) * (into is not None)
+            snaps = tuple({(u, v.display): v for v in ev.receiver_members}.items())
+            return SliceState._return, (cdg.parent_test(u), copies, snaps, ev.resets,
+                                        len(copies) + len(ev.receiver_members)), ev
+        return SliceState._loop_exit, ev.id, ev
 
-        # def update; at call nodes the defs were installed by on_return
-        if kind != "Call":
-            for d in ev.defs:
-                self._put(active_data, d, 1 << u | use_union | ctrl | self.active_call)
+    def _stmt(self, step: tuple) -> None:
+        bit, test, uses, defs, snaps, tail, updates = step
+        data, control, card = self.active_data, self.active_control, self._card
+        ctrl = control.get(test, 0)
+        value = bit | ctrl | self.active_call
+        for v in uses:
+            value |= data.get(v, 0)
+        for d in defs:
+            if (old := data.get(d, 0)) != value:
+                card += value.bit_count() - old.bit_count()
+            data[d] = value
+        dyn = self.dyn_table
+        for key, v in snaps:
+            if (old := dyn.get(key, 0)) != (new := data.get(v, 0) | ctrl):
+                card += new.bit_count() - old.bit_count()
+            dyn[key] = new
+        if tail == "Return":  # a Return statement sets the ActiveReturnSlice
+            card += value.bit_count() - self.active_return.bit_count()
+            self.active_return = value
+        elif tail is not None:  # a test: its ActiveControlSlice, keyed by its id
+            if (old := control.get(tail, 0)) != value:
+                card += value.bit_count() - old.bit_count()
+            control[tail] = value
+        self._card = card
+        self.updates += updates
 
-        # DyanSlice snapshot for everything this node touched
-        for v in ev.defs + ev.uses:
-            self._put(self.dyn_table, (u, v.display), active_data.get(v, 0) | ctrl)
-
-        if kind in ("Test", "TestLoop"):
-            self._put(self.active_control, u,
-                      1 << u | use_union | ctrl | self.active_call)
-        elif kind == "Return":
-            self._set_return(1 << u | use_union | ctrl | self.active_call)
-
-    def on_call(self, ev: CallEntered) -> None:
-        u = ev.call_site
-        ctrl = self._ctrl(u)
+    def _call(self, step: tuple) -> None:
+        bit, test, transfers = step
+        caller, data = self.active_control, self.active_data
         self.call_stack.append(self.active_call)
-        self._card += self.active_call.bit_count()
-        self._set_call(1 << u | self.active_call | ctrl)
-        self.control_stack.append(self.active_control)
+        call = self.active_call = bit | self.active_call | caller.get(test, 0)
+        self.control_stack.append(caller)
         self.active_control = {}
-        for f_var, sources in ev.transfers:
-            ads = 0
+        card = self._card + call.bit_count()  # the caller's moved to the stack
+        for f_var, sources in transfers:
+            new = call
             for src in sources:
-                ads |= self.active_data.get(src, 0)
-            self._put(self.active_data, f_var, ads | self.active_call)
+                new |= data.get(src, 0)
+            if (old := data.get(f_var, 0)) != new:
+                card += new.bit_count() - old.bit_count()
+            data[f_var] = new
+        self._card = card
+        self.updates += len(transfers)
 
-    def on_return(self, ev: Returned) -> None:
-        u = ev.call_site
+    def _return(self, step: tuple) -> None:
+        test, copies, snaps, resets, updates = step
+        data, card = self.active_data, self._card
         # the callee's tests govern only its own activation
         for s in self.active_control.values():
-            self._card -= s.bit_count()
+            card -= s.bit_count()
         self.active_control = self.control_stack.pop()
-        # by-ref copy-back: the actual inherits the formal's slice exactly
-        for f_var, a_var in ev.copy_backs:
-            self._put(self.active_data, a_var, self.active_data.get(f_var, 0))
-        if ev.returned_into is not None:
-            self._put(self.active_data, ev.returned_into, self.active_return)
+        # by-ref copy-backs (formal to actual), then the return slice to its var
+        for f_var, a_var in copies:
+            new = self.active_return if f_var is None else data.get(f_var, 0)
+            if (old := data.get(a_var, 0)) != new:
+                card += new.bit_count() - old.bit_count()
+            data[a_var] = new
         # snapshot the receiver's members so (call node, member) is a valid
         # criterion: the call is where those defs reached the caller
-        ctrl = self._ctrl(u)
-        for v in ev.receiver_members:
-            self._put(self.dyn_table, (u, v.display), self.active_data.get(v, 0) | ctrl)
+        ctrl, dyn = self.active_control.get(test, 0), self.dyn_table
+        for key, v in snaps:
+            if (old := dyn.get(key, 0)) != (new := data.get(v, 0) | ctrl):
+                card += new.bit_count() - old.bit_count()
+            dyn[key] = new
         # callee locals die with the frame
-        for v in ev.resets:
-            self._drop(self.active_data, v)
-        restored = self.call_stack.pop()
-        self._card -= restored.bit_count()
-        self._set_call(restored)
-        self._set_return(0)
+        for v in resets:
+            card -= data.pop(v, 0).bit_count()
+        self._card = card - self.active_call.bit_count() - self.active_return.bit_count()
+        self.active_call, self.active_return = self.call_stack.pop(), 0
+        self.updates += updates
 
-    def on_loop_exit(self, ev: LoopExited) -> None:
-        self._drop(self.active_control, ev.id)
+    def _loop_exit(self, u: int) -> None:
+        self._card -= self.active_control.pop(u, 0).bit_count()
 
     # -- queries ----------------------------------------------------------------
 
@@ -201,28 +223,6 @@ class SliceState:
         for s in self.call_stack:
             total += s.bit_count()
         return total
-
-    # -- internals ---------------------------------------------------------------
-
-    def _ctrl(self, sid: int) -> int:
-        # an Entry-governed node's test is None, which no active_control key is
-        return self.active_control.get(self._test[sid], 0)
-
-    def _put(self, store: dict, key, value: int) -> None:
-        self._card += value.bit_count() - store.get(key, 0).bit_count()
-        store[key] = value
-        self.updates += 1
-
-    def _drop(self, store: dict, key) -> None:
-        self._card -= store.pop(key, 0).bit_count()
-
-    def _set_call(self, value: int) -> None:
-        self._card += value.bit_count() - self.active_call.bit_count()
-        self.active_call = value
-
-    def _set_return(self, value: int) -> None:
-        self._card += value.bit_count() - self.active_return.bit_count()
-        self.active_return = value
 
 
 def init(cdg: Cdg) -> SliceState:

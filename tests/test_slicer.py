@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+
 import pytest
 
 from dynslice import build_cdg, generate, init, load, run
@@ -11,8 +13,9 @@ from dynslice.fixtures import (
     SAMPLE_SOURCE,
     STREAM_SOURCE,
 )
-from dynslice.slicer import CriterionError
+from dynslice.slicer import CriterionError, SliceState
 
+from test_trace_format import RECURSIVE_SOURCE
 from walkthrough import OBJECT_SLICES, replay
 
 
@@ -103,16 +106,17 @@ def test_by_ref_actual_inherits_formal_slice():
 
 
 def test_streaming_state_is_bounded():
+    # the step table, too, follows the program: one step per event object
     program = load(STREAM_SOURCE)
     graph = build_cdg(program)
-    peaks = []
-    for n in (10, 1000):
+    sizes = []
+    for n in (10, 100, 1000):
         result = run(program, (n,), budget=10 * n + 100)
         assert result.ok
         state = init(graph).consume(result.events)
         assert state.recount() == state.cardinality()
-        peaks.append(state.peak_cardinality)
-    assert peaks[0] == peaks[1]
+        sizes.append((state.peak_cardinality, len(state._steps)))
+    assert sizes[0] == sizes[1] == sizes[2]
 
     # a call per iteration: no DyanSlice entry or live set per activation
     program = load(CALLS_SOURCE)
@@ -122,14 +126,41 @@ def test_streaming_state_is_bounded():
         state = init(graph)
         assert run(program, (n,), budget=10 * n + 100, sink=state.feed).ok
         assert state.recount() == state.cardinality()
-        sizes.append((state.peak_cardinality, len(state.dyn_table)))
+        sizes.append((state.peak_cardinality, len(state.dyn_table), len(state._steps)))
     assert sizes[0] == sizes[1] == sizes[2]
+
+
+def _answers(state: SliceState, graph) -> tuple:
+    return ([(c, state.slice_of(*c)) for c in state.criteria()],
+            [state.slice_of_object(o) for o in sorted(graph.main_objects)],
+            state.dyn_table, state.events, state.updates, state.peak_cardinality)
+
+
+def test_steps_never_outlive_or_confuse_their_events():
+    """A step is keyed by its event object's id and holds that object, so a
+    sink that hands over a fresh copy of each event and drops it after the
+    feed, freeing its id for a later copy, gets the interned stream's answers
+    and counters."""
+    def copies(events):
+        for ev in events:
+            yield copy.copy(ev)
+
+    cases = [(SAMPLE_SOURCE, SAMPLE_INPUTS), (CALLS_SOURCE, (5,)), (RECURSIVE_SOURCE, (2, 3))]
+    cases += [(g.source, g.inputs) for g in map(generate, range(50))]
+    for source, inputs in cases:
+        program = load(source)
+        graph = build_cdg(program)
+        events = run(program, inputs).events
+        assert (_answers(init(graph).consume(copies(events)), graph)
+                == _answers(init(graph).consume(events), graph)), source
 
 
 def _cardinality_cases():
     yield "sample", SAMPLE_SOURCE, SAMPLE_INPUTS
     yield "loop", LOOP_SOURCE, (3,)  # the loop-exit drop
     yield "byref", BYREF_SOURCE, (7,)  # copy-back
+    yield "calls", CALLS_SOURCE, (3,)  # calls in a loop
+    yield "recursive", RECURSIVE_SOURCE, (2, 2)  # the generator never recurses
     for seed in range(50):  # returned_into, object formals, resets
         g = generate(seed)
         yield f"seed {seed}", g.source, g.inputs
