@@ -13,7 +13,7 @@ from dynslice.fixtures import (
     SAMPLE_SOURCE,
     STREAM_SOURCE,
 )
-from dynslice.slicer import CriterionError, SliceState
+from dynslice.slicer import CriterionError
 
 from test_trace_format import RECURSIVE_SOURCE
 from walkthrough import OBJECT_SLICES, replay
@@ -130,7 +130,7 @@ def test_streaming_state_is_bounded():
     assert sizes[0] == sizes[1] == sizes[2]
 
 
-def _answers(state: SliceState, graph) -> tuple:
+def _answers(state, graph) -> tuple:
     return ([(c, state.slice_of(*c)) for c in state.criteria()],
             [state.slice_of_object(o) for o in sorted(graph.main_objects)],
             state.dyn_table, state.events, state.updates, state.peak_cardinality)
