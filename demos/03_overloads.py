@@ -1,7 +1,8 @@
 """Overload resolution: exact name, arity, and ordered parameter types.
 
 The checker resolves every call site statically (no conversions, no
-promotion); the trace then records which body actually ran. A call shape that
+promotion), so the trace names no callee: the statements that run after each
+CallEntered show which body actually ran. A call shape that
 matches no declared signature is rejected before anything executes.
 """
 
@@ -11,6 +12,7 @@ from dynslice import load, resolve_overload, run
 from dynslice.events import CallEntered
 from dynslice.fixtures import SAMPLE_INPUTS, SAMPLE_SOURCE
 from dynslice.frontend import NoMatchError
+from dynslice.syntax import walk
 
 program = load(SAMPLE_SOURCE)
 cls = program.class_named("test")
@@ -30,7 +32,10 @@ except NoMatchError as exc:
 print()
 
 events = run(program, SAMPLE_INPUTS).events
-print("dispatch evidence from the trace:")
-for ev in events:
+body_of = {s.id: f"{c}.{m.signature}" for c, m, body in program.procedures()
+           if m is not None for s in walk(body)}
+print("dispatch evidence from the trace, the body node that ran first:")
+for ev, nxt in zip(events, events[1:]):
     if isinstance(ev, CallEntered):
-        print(f"  node {ev.call_site:2} entered {ev.callee}")
+        node = nxt.call_site if isinstance(nxt, CallEntered) else nxt.id
+        print(f"  node {ev.call_site:2} ran node {node} of {body_of[node]}")

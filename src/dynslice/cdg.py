@@ -3,6 +3,10 @@
 For this structured language the CDG restricted to one procedure is a tree:
 every statement's control parent is the nearest enclosing test node, or the
 procedure's synthetic Entry node. Entry nodes never appear in slices.
+
+The same walk records what the program text fixes, so a trace need not: the
+node each loop exits to (`exits`: the statement after it, else `after` in
+`_attach`) and the method each call site runs, the resolved overload (`callee`).
 """
 
 from __future__ import annotations
@@ -60,6 +64,8 @@ class Cdg:
     parent: dict[int, int | str] = field(default_factory=dict)
     members: dict[str, tuple[str, ...]] = field(default_factory=dict)  # class -> members
     main_objects: dict[str, str] = field(default_factory=dict)  # object -> class
+    exits: dict[int, tuple[int, ...]] = field(default_factory=dict)  # node -> loops it ends
+    callee: dict[int, str] = field(default_factory=dict)  # call site -> entry key
 
     def kind(self, sid: int) -> str:
         return self.nodes[sid].kind
@@ -138,22 +144,27 @@ def build_cdg(program: Program) -> Cdg:
     for cls_name, method, body in program.procedures():
         key = entry_key(cls_name, method)
         g.entry_order.append(key)
-        _attach(g, body, key)
+        _attach(g, body, key, None)
     return g
 
 
-def _attach(g: Cdg, body: list[Stmt], parent: int | str) -> None:
-    for s in body:
-        if isinstance(s, VarDecl):
-            continue
+def _attach(g: Cdg, body: list[Stmt], parent: int | str, after: Stmt | None) -> None:
+    """Add `body`'s statements under `parent`; `after` runs once `body` is done
+    (what follows an `if`, a loop's own test, None at a procedure's end)."""
+    stmts = [s for s in body if not isinstance(s, VarDecl)]
+    for s, nxt in zip(stmts, stmts[1:] + [after]):
         defs, uses = def_use(s, g.members)
         g.nodes[s.id] = NodeInfo(_KIND[type(s)], defs, uses)
         g.parent[s.id] = parent
         if isinstance(s, If):
-            _attach(g, s.then_body, s.id)
-            _attach(g, s.else_body, s.id)
+            _attach(g, s.then_body, s.id, nxt)
+            _attach(g, s.else_body, s.id, nxt)
         elif isinstance(s, While):
-            _attach(g, s.body, s.id)
+            _attach(g, s.body, s.id, s)
+            if nxt is not None:
+                g.exits[nxt.id] = g.exits.get(nxt.id, ()) + (s.id,)
+        elif isinstance(s, Call):
+            g.callee[s.id] = entry_key(s.receiver_cls, s.resolved)
 
 
 def _entry_label(key: str) -> str:

@@ -5,10 +5,10 @@ directly or replays them from a serialized trace. Round-trip is exact:
 ``parse_trace(serialize_trace(events)) == events``.
 
 Each event says a fact the program text cannot give, and says it once:
-StmtExecuted (a statement ran: its defs and uses), CallEntered (callee entry
-key and parameter transfers), Returned (copy-backs, resets, the assigned
-var, the receiver's members), LoopExited, InputConsumed, OutputProduced and
-Warning. A return's slice is read from the Return statement's StmtExecuted.
+StmtExecuted (a statement ran: its defs and uses), CallEntered (parameter
+transfers), Returned (copy-backs, resets, the assigned var, the receiver's
+members), InputConsumed, OutputProduced and Warning; the CDG holds what the
+program text fixes. A return's slice is read from its StmtExecuted.
 
 An event written in full is one JSON object on its line: ``"event"`` holds
 the class name and every other key is a dataclass field of that event, with
@@ -20,9 +20,10 @@ read left to right.
 by its type, and writes exactly the bytes of ``json.dumps(...,
 sort_keys=True)`` of that record: strings ASCII-escaped, ``", "`` and
 ``": "`` as separators. Tuples keep the order they were emitted in.
-``from_json`` is the schema that checks a line read back in. It reads the
-fields in the order ``to_line`` writes them, each decoded by its name from
-one table, so a var is always spelled out before its index. A spelled-out
+``from_json`` is the schema that checks a line read back in, and rejects a
+key its event lacks. It reads the fields in the order ``to_line`` writes
+them, each decoded by its name from one table, so a var is always spelled
+out before its index. A spelled-out
 var takes the next index, the writer's own rule; the writer spells each var
 out once, so a parsed trace holds one RuntimeVar per location.
 ``validate_trace`` checks a parsed trace against the program it is replayed
@@ -81,13 +82,12 @@ class StmtExecuted(ExecEvent):
 
 @dataclass(frozen=True)
 class CallEntered(ExecEvent):
-    """A call's callee, by its CDG entry key ("test.add(test,test)"), and its
-    slice-transfer plan: (formal var, source vars) pairs in formal, then
-    member, order. A scalar formal gives one pair, an object formal one per
-    member, a literal actual an empty source tuple."""
+    """A call's slice-transfer plan: (formal var, source vars) pairs in
+    formal, then member, order. A scalar formal gives one pair, an object
+    formal one per member, a literal actual an empty source tuple. The method
+    it runs is the CDG's `callee` of its call site."""
 
     call_site: int
-    callee: str
     transfers: tuple[tuple[RuntimeVar, tuple[RuntimeVar, ...]], ...] = ()
 
 
@@ -98,11 +98,6 @@ class Returned(ExecEvent):
     resets: tuple[RuntimeVar, ...] = ()
     returned_into: RuntimeVar | None = None
     receiver_members: tuple[RuntimeVar, ...] = ()
-
-
-@dataclass(frozen=True)
-class LoopExited(ExecEvent):
-    id: int
 
 
 @dataclass(frozen=True)
@@ -153,12 +148,14 @@ def from_json(d: dict, seen: list) -> ExecEvent:
     """The event a decoded line holds, its vars listed by index in `seen`.
     Fields are read in `_line_parts`' order, the sorted-key order `to_line`
     writes them, so a var is spelled out before its index; each is decoded
-    by its name, in `_DECODE`."""
+    by its name, in `_DECODE`. A key the event does not have is an error."""
     kind = d.get("event") if isinstance(d, dict) else None
     cls = _EVENTS.get(kind) if type(kind) is str else None
     if cls is None:
         raise ValueError(f"malformed trace record: {d!r}")
-    return cls(**{n: _DECODE.get(n, _plain)(d[n], seen) for n in _line_parts(cls)[1]})
+    if len(d) > len(names := _line_parts(cls)[1]) + 1:
+        raise ValueError(f"{kind} has no key {min(d.keys() - {'event', *names})!r}")
+    return cls(**{n: _DECODE.get(n, _plain)(d[n], seen) for n in names})
 
 
 _EVENTS = {cls.__name__: cls for cls in ExecEvent.__subclasses__()}
@@ -300,13 +297,10 @@ def parse_trace(text: str) -> list[ExecEvent]:
 
 def validate_trace(events: list[ExecEvent], graph: Cdg) -> None:
     """Reject (ValueError) a parsed trace that this program's runs cannot
-    produce: a node id it does not have, a node outside the procedure that is
-    running (the innermost open call's callee, or main), a node before its
-    governing test in the same activation, a LoopExited off a loop, a
-    CallEntered off a call statement or into no method of the program, a
-    Returned without its CallEntered, or an input, output or warning payload
-    of the wrong type."""
-    methods = set(graph.entry_order) - {"main"}
+    produce: a node id it does not have, a node outside the running procedure
+    (the CDG's callee of the innermost open call, or main), a node before its
+    governing test in the same activation, a CallEntered off a call statement,
+    a Returned without its CallEntered, or a payload of the wrong type."""
     entry: dict[int, str] = {}  # node -> the procedure it belongs to
     for sid, p in graph.parent.items():
         while isinstance(p, int):
@@ -315,25 +309,18 @@ def validate_trace(events: list[ExecEvent], graph: Cdg) -> None:
     executed: set[int] = set()  # the nodes run in the running activation
     open_calls: list[tuple[int, str, set[int]]] = []  # (call site, callee, caller's executed)
     for i, ev in enumerate(events, start=1):
-        if isinstance(ev, CallEntered):
-            if type(ev.callee) is not str or ev.callee not in methods:
-                raise ValueError(f"trace event {i}: no method {ev.callee!r} "
-                                 "in this program")
-            node = ev.call_site
-        elif isinstance(ev, Returned):
-            node = ev.call_site
+        node = ev.call_site if isinstance(ev, (CallEntered, Returned)) else ev.id
+        if isinstance(ev, Returned):
             if not open_calls or open_calls[-1][0] != node:
                 raise ValueError(f"trace event {i}: Returned from {node!r} "
                                  "without its CallEntered")
             executed = open_calls.pop()[2]
-        else:
-            node = ev.id
-            if type(ev) in _PAYLOADS:
-                name, types = _PAYLOADS[type(ev)]
-                value = getattr(ev, name)
-                if type(value) not in types:
-                    raise ValueError(f"trace event {i}: {type(ev).__name__} {name} "
-                                     f"{value!r} is not {' or '.join(t.__name__ for t in types)}")
+        elif type(ev) in _PAYLOADS:
+            name, types = _PAYLOADS[type(ev)]
+            value = getattr(ev, name)
+            if type(value) not in types:
+                raise ValueError(f"trace event {i}: {type(ev).__name__} {name} "
+                                 f"{value!r} is not {' or '.join(t.__name__ for t in types)}")
         if type(node) is not int or node not in graph.nodes:
             raise ValueError(f"trace event {i}: no node {node!r} in this program")
         running = open_calls[-1][1] if open_calls else "main"
@@ -346,12 +333,10 @@ def validate_trace(events: list[ExecEvent], graph: Cdg) -> None:
         test = graph.parent_test(node)
         if test is not None and test not in (open_calls[-1][2] if returning else executed):
             raise ValueError(f"trace event {i}: node {node} before its test {test}")
-        if isinstance(ev, LoopExited) and graph.kind(node) != "TestLoop":
-            raise ValueError(f"trace event {i}: LoopExited on non-loop node {node}")
         if isinstance(ev, CallEntered):
-            if graph.kind(node) != "Call":
+            if node not in graph.callee:
                 raise ValueError(f"trace event {i}: CallEntered at non-call node {node}")
-            open_calls.append((node, ev.callee, executed))
+            open_calls.append((node, graph.callee[node], executed))
             executed = set()
         if isinstance(ev, StmtExecuted):
             executed.add(node)

@@ -119,8 +119,8 @@ void main() {
 """
 
 # Constant assignment under a loop test: node 3's slice comes entirely from
-# control flow, so reordering its trace record past the loop exit makes the
-# two engines disagree (the corrupted-trace control in the tests).
+# control flow, so moving its trace record past #5, the loop's exit successor,
+# makes the two engines disagree (the corrupted-trace control in the tests).
 CONST_LOOP_SOURCE = """\
 void main() {
     int n, t;

@@ -34,9 +34,9 @@ oracle's dicts keyed by them match on identity, and no var is built per read.
 
 So all that is static in a method frame depends only on its method, its call
 depth and the first free object id: its name table, its formals' vars and
-copies, its sorted resets, the id mark after its objects and its entry key.
-That is a `_Plan`, kept per run under that key and built at the key's first
-call. A binding, a frame's name table plus its receiver's member table, is one
+copies, its sorted resets and the id mark after its objects. That is a
+`_Plan`, kept per run under that key and built at the key's first call. A
+binding, a frame's name table plus its receiver's member table, is one
 `Frame`: main's, or one per plan and receiver in `_Plan.frames`. Every var an
 event names is fixed by its statement and binding, so `Frame.plans` keeps each
 statement's plan, built by the walk that runs the statement at its first
@@ -49,11 +49,11 @@ main's objects plus those of the frames open below, and every table lives
 until the run ends, so plans, bindings (plans x object tables) and stored
 events (statements x bindings) depend on the program, not on the run's length.
 
-Event order around a call: CallEntered (the callee's entry key and the
-parameter transfers), the callee's events, a Return node's StmtExecuted if
-one runs, Returned (copy-backs, resets), and only then the call site's own
-StmtExecuted. Loop tests emit StmtExecuted per evaluation and LoopExited after
-the false one.
+Event order around a call: CallEntered (the parameter transfers), the callee's
+events, a Return node's StmtExecuted if one runs, Returned (copy-backs,
+resets), and only then the call site's own StmtExecuted. A loop test emits
+StmtExecuted per evaluation; after the false one come the events of the node
+the loop exits to (the CDG's `exits`).
 
 `run` hands every event to one callable, `sink`, the moment it is emitted.
 The default sink appends to `RunResult.events`; any other sink (a slicer's
@@ -68,12 +68,10 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .cdg import entry_key
 from .events import (
     CallEntered,
     ExecEvent,
     InputConsumed,
-    LoopExited,
     OutputProduced,
     Returned,
     RuntimeVar,
@@ -172,7 +170,6 @@ def run(program: Program, inputs: list[int] | tuple[int, ...] = (),
 
 class _Plan(NamedTuple):
     """The part of a method frame fixed by its key (see the module docstring)."""
-    callee: str  # entry key
     names: dict[str, "RuntimeVar | dict[str, RuntimeVar]"]
     formals: tuple[tuple, ...]  # per formal: (what `names` binds it to, by_ref)
     resets: tuple[RuntimeVar, ...]
@@ -235,8 +232,7 @@ class _Interp:
         resets = [var for bound in names.values()
                   for var in (bound.values() if type(bound) is dict else (bound,))]
         return self.plans.setdefault(key, _Plan(
-            entry_key(s.receiver_cls, method), names,
-            tuple((names[f.name], f.by_ref) for f in method.formals),
+            names, tuple((names[f.name], f.by_ref) for f in method.formals),
             _ordered(resets), self.next_oid, {}))
 
     def planned(self, s: Stmt, frame: Frame, defs: tuple, uses: list) -> StmtExecuted:
@@ -263,7 +259,7 @@ class _Interp:
                 copy_backs.extend((f_var, srcs[0]) for f_var, srcs in pairs)
         receiver = frame.names[s.receiver.base]
         into = s.assign_to and self.locate(s.assign_to, frame)
-        events = (CallEntered(s.id, plan.callee, tuple(transfers)),
+        events = (CallEntered(s.id, tuple(transfers)),
                   Returned(s.id, tuple(copy_backs), plan.resets, into,
                            tuple(sorted(receiver.values()))),
                   StmtExecuted(s.id, (into,) if into else (),
@@ -374,7 +370,6 @@ class _Interp:
             alive = _EVAL[type(s.cond)](self, s.cond, frame, s.id, uses) != 0
             self.emit(frame.plans.get(s.id) or self.planned(s, frame, (), uses))
             if not alive:
-                self.emit(self.one(LoopExited(s.id)))
                 break
             self.exec_block(s.body, frame)
             self.charge(s)

@@ -148,7 +148,7 @@ def build_ddg(events: list[ExecEvent], cdg: Cdg) -> Ddg:
             b.on_call(ev)
         elif isinstance(ev, Returned):
             b.on_returned(ev)
-        # LoopExited and IO events add no graph structure
+        # IO and warning events add no graph structure
     return b.ddg
 
 

@@ -17,13 +17,16 @@ u is in it), so a union is one `|` and a size one `int.bit_count()`; `slice_of`
 and `slice_of_object` hand out frozensets (`ids_of`). Ints are immutable, so a
 DyanSlice entry is a snapshot that later state changes cannot leak into.
 
-A payload-free event object (StmtExecuted, CallEntered, Returned, LoopExited)
-becomes a step when first fed: its node's bit and test, the vars it reads and
-writes and its DyanSlice keys. The interpreter emits one such object per
+A payload-free event object (StmtExecuted, CallEntered, Returned) becomes a
+step when first fed: its node's bit and test, the vars it reads and writes
+and its DyanSlice keys. The interpreter emits one such object per
 statement and binding, and `parse_trace` one per distinct line, so the step
 table is bounded by the program. A runner keeps `cardinality()` exact, but a
 store of an unchanged value skips the bit counts; it is still written, since an
 absent key is a criterion that never ran.
+A loop's exit is no event: the step of the node it exits to (the CDG's
+`exits`) first drops the loop's ActiveControlSlice, at a call before the
+caller's table is saved; a node that ends no loop pays nothing for it.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .cdg import Cdg
-from .events import CallEntered, ExecEvent, LoopExited, Returned, RuntimeVar, StmtExecuted
+from .events import CallEntered, ExecEvent, Returned, RuntimeVar, StmtExecuted
 
 
 def ids_of(bits: int) -> frozenset[int]:
@@ -69,7 +72,7 @@ class SliceState:
         self.events += 1
         entry = self._steps.get(id(ev))
         if entry is None:
-            if not isinstance(ev, (StmtExecuted, CallEntered, Returned, LoopExited)):
+            if not isinstance(ev, (StmtExecuted, CallEntered, Returned)):
                 return self  # input/output/warning carry no slice information
             entry = self._steps[id(ev)] = self._step(ev)
         entry[0](self, entry[1])
@@ -83,7 +86,8 @@ class SliceState:
         return self
 
     def _step(self, ev: ExecEvent) -> tuple:
-        """(runner, step, ev) of a payload-free event."""
+        """(runner, step, ev) of a payload-free event. At a node that ends
+        loops the runner is `_exit`, which drops their control slices first."""
         cdg, kind = self.cdg, type(ev)
         if kind is StmtExecuted:
             u, node = ev.id, cdg.kind(ev.id)
@@ -94,19 +98,19 @@ class SliceState:
             for v in ev.defs + ev.uses:
                 snaps[u, v.display] = v
             snaps = tuple(snaps.items())
-            return SliceState._stmt, (1 << u, cdg.parent_test(u), ev.uses, defs, snaps, tail,
-                                      len(defs) + len(ev.defs) + len(ev.uses) + (tail == u)), ev
-        # an Entry-governed node's test is None, which no active_control key is
-        if kind is CallEntered:
+            plain = SliceState._stmt, (1 << u, cdg.parent_test(u), ev.uses, defs, snaps, tail,
+                                       len(defs) + len(ev.defs) + len(ev.uses) + (tail == u))
+        elif kind is CallEntered:
+            # an Entry-governed node's test is None, which no active_control key is
             u = ev.call_site
-            return SliceState._call, (1 << u, cdg.parent_test(u), ev.transfers), ev
-        if kind is Returned:
+            plain = SliceState._call, (1 << u, cdg.parent_test(u), ev.transfers)
+        else:  # Returned
             u, into = ev.call_site, ev.returned_into
             copies = ev.copy_backs + ((None, into),) * (into is not None)
             snaps = tuple({(u, v.display): v for v in ev.receiver_members}.items())
             return SliceState._return, (cdg.parent_test(u), copies, snaps, ev.resets,
                                         len(copies) + len(ev.receiver_members)), ev
-        return SliceState._loop_exit, ev.id, ev
+        return (SliceState._exit, (cdg.exits[u], *plain), ev) if u in cdg.exits else (*plain, ev)
 
     def _stmt(self, step: tuple) -> None:
         bit, test, uses, defs, snaps, tail, updates = step
@@ -179,8 +183,12 @@ class SliceState:
         self.active_call, self.active_return = self.call_stack.pop(), 0
         self.updates += updates
 
-    def _loop_exit(self, u: int) -> None:
-        self._card -= self.active_control.pop(u, 0).bit_count()
+    def _exit(self, step: tuple) -> None:
+        """Drop the control slices of the loops that exited here, then run the node."""
+        exits, runner, inner = step
+        for u in exits:
+            self._card -= self.active_control.pop(u, 0).bit_count()
+        runner(self, inner)
 
     # -- queries ----------------------------------------------------------------
 

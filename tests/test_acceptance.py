@@ -13,7 +13,7 @@ import pytest
 
 from dynslice import build_cdg, build_ddg, generate, init, load, run
 from dynslice.cli import run_check
-from dynslice.events import CallEntered, StmtExecuted
+from dynslice.events import StmtExecuted
 from dynslice.fixtures import (
     CALLS_SOURCE,
     LOOP_SOURCE,
@@ -38,10 +38,10 @@ def test_criterion_1_golden_trace_reproduction():
           f"{checked} sets exact in {elapsed * 1000:.0f} ms")
 
 
-def test_criterion_2_overload_dispatch():
+def test_criterion_2_overload_dispatch(dispatched):
     start = time.perf_counter()
-    events = run(load(SAMPLE_SOURCE), SAMPLE_INPUTS).events
-    calls = {e.call_site: e.callee for e in events if isinstance(e, CallEntered)}
+    program = load(SAMPLE_SOURCE)
+    calls = dict(dispatched(program, run(program, SAMPLE_INPUTS).events))
     assert calls[13] == "test.add(test,test)"
     assert calls[15] == "test.add(test,int)"
     with pytest.raises(NoMatchError):

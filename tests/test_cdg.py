@@ -62,6 +62,84 @@ void main() {
     assert graph.parent_test(7) is None
 
 
+# every place a loop can end: a loop body (8, nested in 5, exits to the outer
+# test 5), before an `if` (5 exits to 10), an `if` branch (11 exits past the
+# `if` to 14), before a call (14 exits to 16) and a method (2 exits to nothing)
+EXITS_SOURCE = """\
+class c {
+    int m;
+public:
+    void f(int n) {
+        #1: m = n;
+        #2: while (n > 0) {
+            #3: n = n - 1;
+        }
+    }
+};
+
+void main() {
+    c o;
+    int a, b;
+    #4: cin >> a;
+    #5: while (a > 0) {
+        #6: a = a - 1;
+        #7: b = a;
+        #8: while (b > 0) {
+            #9: b = b - 1;
+        }
+    }
+    #10: if (a == 0) {
+        #11: while (b < 2) {
+            #12: b = b + 1;
+        }
+    } else {
+        #13: b = 0;
+    }
+    #14: while (b > 1) {
+        #15: b = b - 1;
+    }
+    #16: o.f(b);
+    #17: cout << o.m;
+}
+"""
+
+
+def test_loop_exit_successors():
+    graph = build_cdg(load(EXITS_SOURCE))
+    assert graph.exits == {5: (8,), 10: (5,), 14: (11,), 16: (14,)}
+    # the method's loop is last in its body: the Returned ends its activation
+    assert all(2 not in loops for loops in graph.exits.values())
+
+
+def test_exits_of_an_if_that_ends_two_loops():
+    graph = build_cdg(load("""\
+void main() {
+    int a;
+    #1: cin >> a;
+    #2: if (a > 0) {
+        #3: while (a > 0) {
+            #4: a = a - 1;
+        }
+    } else {
+        #5: while (a < 0) {
+            #6: a = a + 1;
+        }
+    }
+    #7: cout << a;
+}
+"""))
+    assert graph.exits == {7: (3, 5)}
+
+
+def test_call_sites_name_their_method(sample_cdg):
+    # one entry per call node, the overload the checker resolved
+    assert sample_cdg.callee == {
+        5: "test.get(int,int)", 11: "test.get(int,int)",
+        13: "test.add(test,test)", 15: "test.add(test,int)",
+        **dict.fromkeys((6, 12, 14, 16), "test.display()")}
+    assert build_cdg(load(EXITS_SOURCE)).callee == {16: "c.f(int)"}
+
+
 def test_def_use_member_expansion(sample_cdg):
     node13 = sample_cdg.nodes[13]
     assert sorted(v.display() for v in node13.use_set) \

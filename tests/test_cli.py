@@ -8,7 +8,7 @@ import pytest
 from dynslice import (build_cdg, generate, init, load, oracle, parse_trace, run,
                       serialize_trace)
 from dynslice.cli import main, run_check
-from dynslice.events import LoopExited, StmtExecuted, Warning, validate_trace
+from dynslice.events import StmtExecuted, Warning, validate_trace
 from dynslice.fixtures import (
     CALLS_SOURCE,
     CONST_LOOP_SOURCE,
@@ -274,7 +274,7 @@ BYREF_OBJECT_SOURCE = (
     "class c { int a, b; public: void set(c &p, int v) { #6: p.a = v + a; } }; "
     "void main() { c o, r; int x; #1: cin >> x; #2: r.a = 2; #3: r.set(o, x); "
     "#4: cout << o.a; #5: cout << o.b; }")
-BYREF_OBJECT_TRACE = "12e6a1167b5939b7b6406c2bdf63c0fabe79a5961159d311faf0b734eaa42bdf"
+BYREF_OBJECT_TRACE = "06c3271f76a12f78e80a0b27dce587dbc22b30e5d9eb019e0c50de4e207060a3"
 
 
 def test_object_by_reference_formal(tmp_path, capsys):
@@ -323,7 +323,8 @@ def test_check_replays_serialized_trace(sample_path, tmp_path, capsys):
 def test_check_rejects_non_object_trace_line(sample_path, tmp_path, capsys):
     for record in ("3", "[1,2]"):
         trace = tmp_path / "bad.ndjson"
-        trace.write_text('{"event": "LoopExited", "id": 3}\n' + record + "\n")
+        trace.write_text('{"event": "StmtExecuted", "id": 1, "defs": [], "uses": []}\n'
+                         + record + "\n")
         assert main(["check", sample_path, "--trace", str(trace)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -344,15 +345,15 @@ _RETURNED = ('{"event": "Returned", "call_site": 4, "copy_backs": [], "resets": 
     (_STMT % (99, ""), "no node 99"),
     (_RETURNED, "without its CallEntered"),
     (_STMT % (4, ""), "node 4 before its test 3"),
-    ('{"event": "LoopExited", "id": 2}', "LoopExited on non-loop node 2"),
-    ('{"event": "CallEntered", "call_site": 4, "callee": "acc.f(acc)", '
-     '"transfers": []}', "no method 'acc.f(acc)' in this program"),
+    # the CDG, not the trace, says where a loop exits to and what a call runs
+    ('{"event": "LoopExited", "id": 3}', "malformed trace at line 1"),
+    ('{"event": "CallEntered", "call_site": 4, "callee": "acc.f(int)", '
+     '"transfers": []}', "malformed trace at line 1: CallEntered has no key 'callee'"),
     ('{"event": "AboutToReturn", "id": 9, "uses": []}', "malformed trace at line 1"),
     ('{"bindings": [{"by_ref": false, "formal": "x", "kind": "literal", '
      '"transfers": []}], "call_site": 4, "callee": {"cls": "acc", "name": "f", '
      '"param_types": ["int"]}, "event": "CallEntered"}', "malformed trace at line 1"),
-    ('{"event": "CallEntered", "call_site": 1, "callee": "acc.f(int)", '
-     '"transfers": []}\n' + _RETURNED.replace('"call_site": 4', '"call_site": 1'),
+    ('{"event": "CallEntered", "call_site": 1, "transfers": []}\n' + _RETURNED.replace('"call_site": 4', '"call_site": 1'),
      "trace event 1: CallEntered at non-call node 1"),
     (_STMT % (8, ""), "trace event 1: StmtExecuted at node 8 of acc.f(int) while main runs"),
     ('{"event": "InputConsumed", "id": 99, "value": [1]}', "InputConsumed value [1] is not int"),
@@ -381,7 +382,7 @@ _RETURNED = ('{"event": "Returned", "call_site": 4, "copy_backs": [], "resets": 
     (_STMT % (1, "") + "\n1", "malformed trace at line 2: no line 1: 1 read so far"),
     ("0", "malformed trace at line 1: no line 0: 0 read so far"),
 ], ids=["owner-list", "id-string", "unknown-id", "lone-returned",
-        "before-test", "loop-exit-off-loop", "foreign-callee",
+        "before-test", "old-loop-exited", "old-callee",
         "old-about-to-return", "old-call-bindings", "call-at-cin",
         "method-stmt-in-main", "input-list", "input-unknown-id", "input-bool",
         "output-float", "output-method-node-in-main", "warning-int-message",
@@ -398,6 +399,47 @@ def test_check_rejects_trace_of_another_program(tmp_path, capsys, record, messag
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+# call site 3 runs c.f(int); only c.g(int) holds node 2
+TWO_METHODS_SOURCE = """\
+class c {
+    int m;
+public:
+    void f(int x) {
+        #1: m = x;
+    }
+    void g(int x) {
+        #2: m = x + 1;
+    }
+};
+
+void main() {
+    c o;
+    #3: o.f(1);
+    #4: cout << o.m;
+}
+"""
+
+
+def test_check_rejects_a_body_its_call_does_not_run(tmp_path, capsys):
+    """The CDG names the method a call site runs: a trace that enters call
+    site 3 and then runs c.g's node 2 is no run of this program. A trace that
+    names c.g(int) as the callee is in the old format and read as malformed."""
+    src = tmp_path / "p.mini"
+    src.write_text(TWO_METHODS_SOURCE)
+    body = '{"event": "StmtExecuted", "id": 2, "defs": [], "uses": []}\n'
+    for entered, message in [
+            ('{"event": "CallEntered", "call_site": 3, "transfers": []}',
+             "trace event 2: StmtExecuted at node 2 of c.g(int) while c.f(int) runs"),
+            ('{"event": "CallEntered", "call_site": 3, "callee": "c.g(int)", "transfers": []}',
+             "malformed trace at line 1: CallEntered has no key 'callee'")]:
+        trace = tmp_path / "t.ndjson"
+        trace.write_text(entered + "\n" + body)
+        assert main(["check", str(src), "--trace", str(trace)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
 
 # f's `if` runs once per call: cut the second call's run of it, and the
@@ -474,17 +516,17 @@ def test_a_trace_without_a_test_run_is_rejected_or_replayed():
 
 
 def test_check_flags_corrupted_trace(tmp_path, capsys):
-    # move the loop-body record past LoopExited: the streaming slicer has
-    # already cleared the loop's control slice, the graph oracle still sees
-    # the test occurrence, so the engines must disagree
+    # move the loop-body record past #5, the loop's exit successor: the
+    # streaming slicer has already cleared the loop's control slice, the graph
+    # oracle still sees the test occurrence, so the engines must disagree
     src = tmp_path / "cl.mini"
     src.write_text(CONST_LOOP_SOURCE)
     assert main(["trace", str(src), "--inputs", "1"]) == 0
     events = parse_trace(capsys.readouterr().out)
-    body = next(i for i, ev in enumerate(events)
-                if type(ev) is StmtExecuted and ev.id == 3)
-    exited = next(i for i, ev in enumerate(events) if type(ev) is LoopExited)
-    events.insert(exited, events.pop(body))
+    body = events.pop(next(i for i, ev in enumerate(events)
+                           if type(ev) is StmtExecuted and ev.id == 3))
+    after = next(i for i, ev in enumerate(events) if type(ev) is StmtExecuted and ev.id == 5)
+    events.insert(after + 1, body)
     corrupt = tmp_path / "corrupt.ndjson"
     corrupt.write_text(serialize_trace(events))
 

@@ -16,7 +16,6 @@ from dynslice import (
 from dynslice.events import (
     CallEntered,
     InputConsumed,
-    LoopExited,
     OutputProduced,
     Returned,
     StmtExecuted,
@@ -51,7 +50,7 @@ def test_sample_statement_order(sample_run):
     ]
 
 
-def test_call_event_protocol(sample_run):
+def test_call_event_protocol(sample_program, sample_run, dispatched):
     # per call: CallEntered, callee statements, Returned, and the call-site
     # StmtExecuted strictly last (no return statement in this method)
     events = sample_run.events
@@ -59,14 +58,14 @@ def test_call_event_protocol(sample_run):
                       if isinstance(e, CallEntered))
     window = events[first_call:first_call + 5]
     assert isinstance(window[0], CallEntered) and window[0].call_site == 5
-    assert window[0].callee == "test.get(int,int)"
+    assert dispatched(sample_program, events)[0] == (5, "test.get(int,int)")
     assert [e.id for e in window[1:3] if isinstance(e, StmtExecuted)] == [17, 18]
     assert isinstance(window[3], Returned) and window[3].call_site == 5
     assert isinstance(window[4], StmtExecuted) and window[4].id == 5
 
 
-def test_return_event_protocol():
-    result = run(load("""\
+def test_return_event_protocol(dispatched):
+    program = load("""\
 class c {
     int m;
 public:
@@ -82,13 +81,14 @@ void main() {
     #1: b = o.f(2);
     #2: cout << b;
 }
-"""), ())
+""")
+    result = run(program, ())
     assert result.ok and result.outputs == [2]
     kinds = [type(e).__name__ for e in result.events]
     assert kinds == ["CallEntered", "StmtExecuted", "StmtExecuted",
                      "Returned", "StmtExecuted", "OutputProduced",
                      "StmtExecuted"]
-    assert result.events[0].callee == "c.f(int)"
+    assert dispatched(program, result.events) == [(1, "c.f(int)")]
     ret = result.events[2]
     assert ret.id == 4
     assert [v.display for v in ret.uses] == ["o.m"]
@@ -96,12 +96,12 @@ void main() {
     assert returned.returned_into.display == "b"
 
 
-def test_overload_dispatch_in_trace(sample_run):
-    by_site = {e.call_site: e for e in sample_run.events
-               if isinstance(e, CallEntered)}
-    assert by_site[13].callee == "test.add(test,test)"
-    assert by_site[15].callee == "test.add(test,int)"
-    assert by_site[5].callee == "test.get(int,int)"
+def test_overload_dispatch_in_trace(sample_program, sample_run, dispatched):
+    # the body that runs after each CallEntered is the resolved overload's
+    by_site = dict(dispatched(sample_program, sample_run.events))
+    assert by_site[13] == "test.add(test,test)"
+    assert by_site[15] == "test.add(test,int)"
+    assert by_site[5] == "test.get(int,int)"
 
 
 def test_io_event_precedes_statement(sample_run):
@@ -116,20 +116,24 @@ def test_loop_iterations(loop_program):
     result = run(loop_program, (2,))
     assert result.ok
     assert result.outputs == [3, 9]
-    # test node 3 appears once per evaluation, LoopExited after the false one
+    # test node 3 appears once per evaluation, n + 1 times, and the false one
+    # is followed by the loop's exit successor, node 6: no event marks the exit
     assert stmt_ids(result.events) == [1, 2, 3, 4, 5, 3, 4, 5, 3, 6, 7, 8]
-    exits = [i for i, e in enumerate(result.events) if isinstance(e, LoopExited)]
-    assert len(exits) == 1
-    before = result.events[exits[0] - 1]
-    assert isinstance(before, StmtExecuted) and before.id == 3
+    last = max(i for i, e in enumerate(result.events)
+               if isinstance(e, StmtExecuted) and e.id == 3)
+    assert [type(e).__name__ for e in result.events[last + 1:last + 3]] \
+        == ["OutputProduced", "StmtExecuted"]
+    assert result.events[last + 1].id == result.events[last + 2].id == 6
 
 
 def test_zero_iteration_loop(loop_program):
     result = run(loop_program, (0,))
     assert result.ok
     assert result.outputs == [0, 9]
-    assert stmt_ids(result.events) == [1, 2, 3, 6, 7, 8]
-    assert any(isinstance(e, LoopExited) and e.id == 3 for e in result.events)
+    # the test runs once, and its exit successor right after it
+    ids = stmt_ids(result.events)
+    assert ids == [1, 2, 3, 6, 7, 8]
+    assert ids.count(3) == 1 and ids[ids.index(3) + 1] == 6
 
 
 def test_by_ref_copy_restore():
@@ -227,9 +231,9 @@ def test_parse_trace_rejects_garbage():
     with pytest.raises(ValueError, match="line 1"):
         parse_trace("not json\n")
     with pytest.raises(ValueError, match="line 2"):
-        parse_trace('{"event": "LoopExited", "id": 3}\n{"event": "StmtExecuted"}\n')
+        parse_trace('{"event": "OutputProduced", "id": 3, "value": 1}\n{"event": "StmtExecuted"}\n')
     with pytest.raises(ValueError, match="line 2"):
-        parse_trace('{"event": "LoopExited", "id": 3}\n3\n')
+        parse_trace('{"event": "OutputProduced", "id": 3, "value": 1}\n0\n')
     with pytest.raises(ValueError, match="line 1"):
         parse_trace("[1,2]\n")
     # a variable's fields must have their types: an unhashable owner, a
@@ -325,7 +329,7 @@ def test_equal_events_are_one_object():
     repeats = 0
     for source, inputs in cases:
         events = [ev for ev in run(load(source), inputs).events
-                  if isinstance(ev, (StmtExecuted, CallEntered, Returned, LoopExited))]
+                  if isinstance(ev, (StmtExecuted, CallEntered, Returned))]
         first = {}
         for ev in events:
             assert first.setdefault(ev, ev) is ev, f"{ev} is a second object"
@@ -365,7 +369,7 @@ void main() {
 """
 
 # sha256 of its trace at input 3
-REPEATED_WARNINGS_TRACE = "f1d8211dd6c796ea08db210ce5714144ae834c5c3d52d20809a8c7a526fa58d8"
+REPEATED_WARNINGS_TRACE = "5f1560b8513c2ab2918580079e3c63c4fd4f7cf78e78b3f8511223688bcbfa4d"
 
 
 def test_value_events_stay_per_execution():

@@ -82,7 +82,7 @@ def test_graph_grows_with_trace_length(loop_program, loop_cdg):
 
 
 # Recursion: a test's control slice belongs to the activation that ran it, so
-# a callee's `if` test or LoopExited must not reach its caller's slices. Both
+# a callee's `if` test or loop exit must not reach its caller's slices. Both
 # programs are unlabeled, so ids are numbered in textual order. In the first,
 # the callee's loop exit once dropped the caller's loop test; in the second,
 # the recursive call 2 on the copy `p` once leaked into `q.m`.

@@ -5,6 +5,8 @@ import copy
 import pytest
 
 from dynslice import build_cdg, generate, init, load, run
+from dynslice.cli import run_check
+from dynslice.events import CallEntered, StmtExecuted
 from dynslice.fixtures import (
     BYREF_SOURCE,
     CALLS_SOURCE,
@@ -15,6 +17,7 @@ from dynslice.fixtures import (
 )
 from dynslice.slicer import CriterionError
 
+from test_cdg import EXITS_SOURCE
 from test_trace_format import RECURSIVE_SOURCE
 from walkthrough import OBJECT_SLICES, replay
 
@@ -82,6 +85,29 @@ def test_loop_control_slice_reset(loop_program, loop_cdg):
     assert state.slice_of(8, "t") == {7}
     assert state.slice_of(7, "t") == {7}
     assert state.active_control == {}
+
+
+def test_exit_successor_drops_the_loops_control_slices():
+    """Each loop's ActiveControlSlice is gone once the node it exits to has
+    run; at call 16, before the caller's table moves to `control_stack`."""
+    graph = build_cdg(load(EXITS_SOURCE))
+    result = run(load(EXITS_SOURCE), (2,))
+    assert result.ok
+    state = init(graph)
+    ran = set()
+    for ev in result.events:
+        state.feed(ev)
+        node = (ev.id if type(ev) is StmtExecuted
+                else ev.call_site if type(ev) is CallEntered else None)
+        if node in graph.exits:
+            ran.add(node)
+            assert not set(graph.exits[node]) & set(state.active_control), node
+            for saved in state.control_stack:
+                assert not set(graph.exits[node]) & set(saved), node
+    assert ran == set(graph.exits)
+    # every loop test's slice is gone; no event drops an `if` test's
+    assert set(state.active_control) == {10}
+    assert run_check(graph, result.events) is None
 
 
 def test_loop_zero_iterations(loop_program, loop_cdg):
@@ -160,6 +186,7 @@ def _cardinality_cases():
     yield "loop", LOOP_SOURCE, (3,)  # the loop-exit drop
     yield "byref", BYREF_SOURCE, (7,)  # copy-back
     yield "calls", CALLS_SOURCE, (3,)  # calls in a loop
+    yield "exits", EXITS_SOURCE, (2,)  # drops at every kind of exit successor
     yield "recursive", RECURSIVE_SOURCE, (2, 2)  # the generator never recurses
     for seed in range(50):  # returned_into, object formals, resets
         g = generate(seed)

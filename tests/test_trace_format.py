@@ -13,20 +13,20 @@ import pytest
 from dynslice import (RuntimeVar, generate, interpreter, load, parse_trace, run,
                       serialize_trace)
 from dynslice.cli import main
-from dynslice.events import (CallEntered, InputConsumed, LoopExited, OutputProduced,
-                             Returned, StmtExecuted, Warning, to_line)
+from dynslice.events import (CallEntered, InputConsumed, OutputProduced, Returned,
+                             StmtExecuted, Warning, to_line)
 from dynslice.fixtures import CALLS_SOURCE, SAMPLE_INPUTS, SAMPLE_SOURCE, STREAM_SOURCE
 
 # sha256 of the SAMPLE_SOURCE trace followed by the traces of generator seeds
-# 0..199, each with its own var and event tables; together they hold all 7
+# 0..199, each with its own var and event tables; together they hold all 6
 # event kinds, copy-backs, returned_into and back-references
-CORPUS_DIGEST = "e6882cf20df3f15fc11d1657c68d599bea7ee9d81d0d2e9cb46a7f517b72ff52"
+CORPUS_DIGEST = "83c84c26f95d867e8aff2c625bfb3e546a3562f1eb644415bc55a8d367f27323"
 
 # the first CallEntered of SAMPLE_SOURCE with object formals (T3.add(T1, T2)):
 # the formals' members are new, their sources T1.a, T1.b, T2.a, T2.b are not;
 # T1.get and T2.get both ran at depth 1, so share vars 2 and 3 for x and y
 CALL_ENTERED_LINE = (
-    '{"call_site": 13, "callee": "test.add(test,test)", "event": "CallEntered", '
+    '{"call_site": 13, "event": "CallEntered", '
     '"transfers": '
     '[[{"display": "tp1.a", "kind": "member", "name": "a", "owner": 5}, [4]], '
     '[{"display": "tp1.b", "kind": "member", "name": "b", "owner": 5}, [5]], '
@@ -41,7 +41,7 @@ SERIAL_OWNERS_CALLS_TRACE = (
     '{"defs": [{"display": "n", "kind": "local", "name": "n", "owner": 1}], "event": "StmtExecuted", "id": 1, "uses": []}\n'
     '{"defs": [{"display": "i", "kind": "local", "name": "i", "owner": 1}], "event": "StmtExecuted", "id": 2, "uses": []}\n'
     '{"defs": [], "event": "StmtExecuted", "id": 3, "uses": [1, 0]}\n'
-    '{"call_site": 4, "callee": "acc.f(int)", "event": "CallEntered", "transfers": [[{"display": "x", "kind": "local", "name": "x", "owner": 2}, [1]]]}\n'
+    '{"call_site": 4, "event": "CallEntered", "transfers": [[{"display": "x", "kind": "local", "name": "x", "owner": 2}, [1]]]}\n'
     '{"defs": [{"display": "t", "kind": "local", "name": "t", "owner": 2}], "event": "StmtExecuted", "id": 8, "uses": [2]}\n'
     '{"event": "Warning", "id": 9, "message": "read of uninitialized o.s"}\n'
     '{"defs": [{"display": "o.s", "kind": "member", "name": "s", "owner": 1}], "event": "StmtExecuted", "id": 9, "uses": [3, 4]}\n'
@@ -49,21 +49,20 @@ SERIAL_OWNERS_CALLS_TRACE = (
     '{"defs": [], "event": "StmtExecuted", "id": 4, "uses": [1]}\n'
     '{"defs": [1], "event": "StmtExecuted", "id": 5, "uses": [1]}\n'
     '{"defs": [], "event": "StmtExecuted", "id": 3, "uses": [1, 0]}\n'
-    '{"call_site": 4, "callee": "acc.f(int)", "event": "CallEntered", "transfers": [[{"display": "x", "kind": "local", "name": "x", "owner": 3}, [1]]]}\n'
+    '{"call_site": 4, "event": "CallEntered", "transfers": [[{"display": "x", "kind": "local", "name": "x", "owner": 3}, [1]]]}\n'
     '{"defs": [{"display": "t", "kind": "local", "name": "t", "owner": 3}], "event": "StmtExecuted", "id": 8, "uses": [5]}\n'
     '{"defs": [4], "event": "StmtExecuted", "id": 9, "uses": [6, 4]}\n'
     '{"call_site": 4, "copy_backs": [], "event": "Returned", "receiver_members": [4], "resets": [6, 5], "returned_into": null}\n'
     '{"defs": [], "event": "StmtExecuted", "id": 4, "uses": [1]}\n'
     '{"defs": [1], "event": "StmtExecuted", "id": 5, "uses": [1]}\n'
     '{"defs": [], "event": "StmtExecuted", "id": 3, "uses": [1, 0]}\n'
-    '{"call_site": 4, "callee": "acc.f(int)", "event": "CallEntered", "transfers": [[{"display": "x", "kind": "local", "name": "x", "owner": 4}, [1]]]}\n'
+    '{"call_site": 4, "event": "CallEntered", "transfers": [[{"display": "x", "kind": "local", "name": "x", "owner": 4}, [1]]]}\n'
     '{"defs": [{"display": "t", "kind": "local", "name": "t", "owner": 4}], "event": "StmtExecuted", "id": 8, "uses": [7]}\n'
     '{"defs": [4], "event": "StmtExecuted", "id": 9, "uses": [8, 4]}\n'
     '{"call_site": 4, "copy_backs": [], "event": "Returned", "receiver_members": [4], "resets": [8, 7], "returned_into": null}\n'
     '{"defs": [], "event": "StmtExecuted", "id": 4, "uses": [1]}\n'
     '{"defs": [1], "event": "StmtExecuted", "id": 5, "uses": [1]}\n'
     '{"defs": [], "event": "StmtExecuted", "id": 3, "uses": [1, 0]}\n'
-    '{"event": "LoopExited", "id": 3}\n'
     '{"event": "OutputProduced", "id": 6, "value": 6}\n'
     '{"defs": [], "event": "StmtExecuted", "id": 6, "uses": [4]}\n'
     '{"event": "OutputProduced", "id": 7, "value": 3}\n'
@@ -174,11 +173,11 @@ void main() {
 # SHARED_DEPTH_SOURCE runs one method at one depth from two free ids, and
 # TWO_RECEIVERS_SOURCE on two receivers
 CALL_FRAME_DIGESTS = {
-    ("recursive", "2,1"): (0, "e972027b0ef7c6e39facbbedfe8a53392a2e784bd4f4b479261c7a46cf133965"),
-    ("recursive", "4,3"): (0, "e1e7892d0e43b4f4b6168d04427a5c5a04e5ca45ec42a6d440d938fabdf413ca"),
-    ("recursive", "300,1"): (3, "c8192879eddedec92930c9ea03ea42be44d6423ac3000d97e6b989d1825fe535"),
-    ("shared_depth", "3"): (0, "324c443c4f73d5a095a323d6650a56fd257f9625492f29abfe4d9da49e493f91"),
-    ("two_receivers", "3"): (0, "2445d2bc1e8cb00a8da14167e86120df8586144d869e6af05a5c8450d0b81d88"),
+    ("recursive", "2,1"): (0, "2bd42c666b9ad9177352aad27a86a64eb36dc02dcd86870cd21bc9c206864889"),
+    ("recursive", "4,3"): (0, "83b301e86b33a641267b334949c2f28b1f63debb08bb21c079e76c8d32dfaeeb"),
+    ("recursive", "300,1"): (3, "d1a9587f05b60173a0f2f96ab42c584add019ee61bbe7f7d6352a9b05dec435a"),
+    ("shared_depth", "3"): (0, "d7d017590c451657ff852186e528c6bfe481cd0751d8d35364327d0025a61dac"),
+    ("two_receivers", "3"): (0, "05b938121889fbc5394d788b678e3b80d78c843099dd660363ad0f886b5672b1"),
 }
 
 # the first Returned of SAMPLE_SOURCE (T1.get(p, q)): T1's members and the
@@ -258,7 +257,7 @@ def test_writer_matches_json_dumps():
         Returned(6, ((var, var),), (), None, ()),
     ]
     # values only a parsed trace can hold: a float id, a bool, a list, a dict
-    made += parse_trace('{"event": "LoopExited", "id": 3.5}\n'
+    made += parse_trace('{"defs": [], "event": "StmtExecuted", "id": 3.5, "uses": []}\n'
                         '{"event": "InputConsumed", "id": 1, "value": true}\n'
                         '{"event": "OutputProduced", "id": 1, '
                         '"value": [1.0, "ä", {"b": null, "a": false}]}\n')
@@ -282,8 +281,8 @@ def test_a_repeated_event_is_its_index():
     the payload-free events written so far, and reads back as the same
     object; an event with a payload is written in full every time."""
     n = RuntimeVar("local", 0, "n", "n")
-    once = [StmtExecuted(1, (n,), ()), InputConsumed(2, 5), LoopExited(3)]
-    events = once + [StmtExecuted(1, (n,), ()), InputConsumed(2, 5), LoopExited(3)]
+    once = [StmtExecuted(1, (n,), ()), InputConsumed(2, 5), Returned(3)]
+    events = once + [StmtExecuted(1, (n,), ()), InputConsumed(2, 5), Returned(3)]
     text = serialize_trace(events)
     lines = text.splitlines()
     assert lines[3:] == ["0", lines[1], "1"]
@@ -318,7 +317,7 @@ def test_calls_trace_grows_by_back_references():
         full.append({line for ev, line in zip(events, text.splitlines())
                      if line.startswith("{") and type(ev) not in
                      (InputConsumed, OutputProduced, Warning)})
-    assert full[0] == full[1] and len(full[0]) == 12
+    assert full[0] == full[1] and len(full[0]) == 11
     (events_small, bytes_small), (events_large, bytes_large) = sizes
     assert bytes_large - bytes_small < 4 * (events_large - events_small)
 
@@ -379,7 +378,7 @@ def test_calls_vocabulary_is_flat():
     has as many distinct vars and lines at n = 10^4 as at n = 10^2."""
     for n in (100, 10000):
         names, lines, _ = vocabulary(CALLS_SOURCE, (n,))
-        assert (len(names), len(lines)) == (5, 19), n
+        assert (len(names), len(lines)) == (5, 18), n
 
 
 def test_recursive_vocabulary_depends_on_depth_only(tmp_path, capsys):
@@ -437,7 +436,7 @@ def test_event_objects_follow_the_program_not_the_run():
         result = run(load(source), inputs)
         assert result.ok
         return len({id(ev) for ev in result.events
-                    if isinstance(ev, (StmtExecuted, CallEntered, Returned, LoopExited))})
+                    if isinstance(ev, (StmtExecuted, CallEntered, Returned))})
 
     assert made(CALLS_SOURCE, (10,)) == made(CALLS_SOURCE, (1000,))
     assert made(STREAM_SOURCE, (10,)) == made(STREAM_SOURCE, (1000,))
@@ -482,7 +481,7 @@ def parse_overhead(n: int) -> int:
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(events) == 4 * n + 5
+    assert len(events) == 4 * n + 4
     return peak - kept - split
 
 

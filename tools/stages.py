@@ -39,11 +39,11 @@ def workloads() -> dict[str, list[tuple[str, tuple[int, ...]]]]:
 
 def measure(programs) -> dict:
     from dynslice import backward_slice, build_cdg, build_ddg, init, load, run
-    from dynslice.events import CallEntered, LoopExited, Returned, StmtExecuted
+    from dynslice.events import CallEntered, Returned, StmtExecuted
 
     loaded = [(p, build_cdg(p), inputs) for p, inputs in ((load(s), i) for s, i in programs)]
     runs = [run(p, inputs).events for p, _, inputs in loaded]
-    free = [[ev for ev in evs if isinstance(ev, (StmtExecuted, CallEntered, Returned, LoopExited))]
+    free = [[ev for ev in evs if isinstance(ev, (StmtExecuted, CallEntered, Returned))]
             for evs in runs]
     record = {"events": sum(map(len, runs)), "payload_free": sum(map(len, free)),
               "distinct": sum(len(set(map(id, evs))) for evs in free)}
