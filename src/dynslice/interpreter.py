@@ -16,12 +16,15 @@ Semantics:
 There is one store, `values`, keyed by RuntimeVar; a var absent from it is
 uninitialized. A frame maps each declared name to its var, or an object's
 name to its member -> var table, and `locate` is the one place that maps a
-bound name to its var. Each expression is walked once: `_EVAL` computes its
-value and collects the variables it reads, in read order, as the statement's
-uses. Statements and expressions are dispatched by type through the module
-tables `_EXEC` and `_EVAL` of plain functions; a table of bound methods on the
-interpreter would be a reference cycle, which keeps a run's whole state alive
-until the cycle collector runs.
+bound name to its var. The language has no short-circuit operators, so every
+execution of a statement reads exactly the names its expression spells, and
+in one binding they resolve to the same vars: `reads` lists them once, as the
+statement's plan is built, and `_EVAL` only computes values. If `&&` or `||`
+ever come, reads become conditional and the plans must change. Statements
+and expressions are dispatched by type through the module tables `_EXEC` and
+`_EVAL` of plain functions; a table of bound methods on the interpreter would
+be a reference cycle, which keeps a run's whole state alive until the cycle
+collector runs.
 
 A RuntimeVar names a location by what is live: an int local by its frame's
 call depth (0 for main, +1 per open call), a member by its object's id. Main's
@@ -39,12 +42,12 @@ copies, its sorted resets and the id mark after its objects. That is a
 binding, a frame's name table plus its receiver's member table, is one
 `Frame`: main's, or one per plan and receiver in `_Plan.frames`. Every var an
 event names is fixed by its statement and binding, so `Frame.plans` keeps each
-statement's plan, built by the walk that runs the statement at its first
-execution in the binding: its StmtExecuted, or a call site's `_Site` (the
-callee's plan and frame, its object formals' copies and its three events).
-Later executions evaluate values and emit the same event objects, interned
-like vars; Warning, InputConsumed and OutputProduced carry values and are made
-per execution. The depth is at most `MAX_DEPTH` and the free id at a depth is
+statement's plan, built from its reads at its first execution there: its
+StmtExecuted, or a call site's `_Site` (the callee's plan and frame, its int
+actuals, its object formals' copies and its three events). Each execution
+evaluates values and emits the same event objects, interned like vars;
+Warning, InputConsumed and OutputProduced carry values and are made per
+execution. The depth is at most `MAX_DEPTH` and the free id at a depth is
 main's objects plus those of the frames open below, and every table lives
 until the run ends, so plans, bindings (plans x object tables) and stored
 events (statements x bindings) depend on the program, not on the run's length.
@@ -235,20 +238,20 @@ class _Interp:
             names, tuple((names[f.name], f.by_ref) for f in method.formals),
             _ordered(resets), self.next_oid, {}))
 
-    def planned(self, s: Stmt, frame: Frame, defs: tuple, uses: list) -> StmtExecuted:
-        """Build and keep the StmtExecuted of `s` in `frame`'s binding."""
-        return frame.plans.setdefault(s.id, self.one(StmtExecuted(s.id, defs, _ordered(uses))))
+    def planned(self, s: Stmt, frame: Frame, defs: tuple, e) -> StmtExecuted:
+        """Build and keep the StmtExecuted of `s`, which reads `e`, in `frame`'s binding."""
+        uses = _ordered(self.reads(e, frame, []))
+        return frame.plans.setdefault(s.id, self.one(StmtExecuted(s.id, defs, uses)))
 
     def site(self, s: Call, frame: Frame) -> _Site:
-        """Build and keep call site `s`'s plan in `frame`'s binding; run its int actuals."""
+        """Build and keep call site `s`'s plan in `frame`'s binding."""
         key = (id(s.resolved), frame.depth + 1, self.next_oid)
         plan = self.plans.get(key) or self.plan(key, s)
         ints, copies, transfers, copy_backs = [], [], [], []
         for (formal, by_ref), a in zip(plan.formals, s.args):
             if type(formal) is not dict:
-                self.values[formal] = _EVAL[type(a)](self, a, frame, s.id, uses := [])
                 ints.append((formal, a))
-                pairs = [(formal, tuple(uses))]
+                pairs = [(formal, tuple(self.reads(a, frame, [])))]
             else:
                 actual = frame.names[a.base]
                 pairs = [(f_var, (actual[m],)) for m, f_var in formal.items()]
@@ -280,12 +283,18 @@ class _Interp:
             return frame.names[name.base][name.member]
         raise ValueError(f"object {name.base!r} read as a value")
 
-    # `_EVAL[type(e)](self, e, frame, at, uses)` is the value of an int
-    # expression `e` and appends each variable it reads to `uses`
+    def reads(self, e, frame: Frame, out: list[RuntimeVar]) -> list[RuntimeVar]:
+        """`out` with the vars `e` reads appended, in read order, repeats kept."""
+        if type(e) is Name:
+            out.append(self.locate(e, frame))
+        elif type(e) is BinOp:
+            self.reads(e.right, frame, self.reads(e.left, frame, out))
+        return out
 
-    def eval_name(self, e: Name, frame: Frame, at: int, uses: list[RuntimeVar]) -> int:
+    # `_EVAL[type(e)](self, e, frame, at)` is the value of expression `e`
+
+    def eval_name(self, e: Name, frame: Frame, at: int) -> int:
         var = self.locate(e, frame)
-        uses.append(var)
         value = self.values.get(var)  # absent = uninitialized
         if value is None:
             shown = repr(var.display) if var.kind == "local" else var.display
@@ -293,12 +302,12 @@ class _Interp:
             return 0
         return value
 
-    def eval_int(self, e: IntLit, frame: Frame, at: int, uses: list[RuntimeVar]) -> int:
+    def eval_literal(self, e: IntLit | StrLit, frame: Frame, at: int) -> int | str:
         return e.value
 
-    def eval_binop(self, e: BinOp, frame: Frame, at: int, uses: list[RuntimeVar]) -> int:
-        left = _EVAL[type(e.left)](self, e.left, frame, at, uses)
-        right = _EVAL[type(e.right)](self, e.right, frame, at, uses)
+    def eval_binop(self, e: BinOp, frame: Frame, at: int) -> int:
+        left = _EVAL[type(e.left)](self, e.left, frame, at)
+        right = _EVAL[type(e.right)](self, e.right, frame, at)
         return self.apply(e.op, left, right, at)
 
     def apply(self, op: str, a: int, b: int, at: int) -> int:
@@ -331,9 +340,9 @@ class _Interp:
             self.depth -= 1
 
     def exec_assign(self, s: Assign, frame: Frame) -> None:
-        uses: list[RuntimeVar] = []
-        value = _EVAL[type(s.value)](self, s.value, frame, s.id, uses)
-        ev = frame.plans.get(s.id) or self.planned(s, frame, (self.locate(s.target, frame),), uses)
+        value = _EVAL[type(s.value)](self, s.value, frame, s.id)
+        ev = frame.plans.get(s.id) or self.planned(s, frame, (self.locate(s.target, frame),),
+                                                   s.value)
         self.values[ev.defs[0]] = value
         self.emit(ev)
 
@@ -343,42 +352,35 @@ class _Interp:
         value = self.inputs[self.next_input]
         self.next_input += 1
         self.emit(InputConsumed(s.id, value))
-        ev = frame.plans.get(s.id) or self.planned(s, frame, (self.locate(s.target, frame),), [])
+        ev = frame.plans.get(s.id) or self.planned(s, frame, (self.locate(s.target, frame),), None)
         self.values[ev.defs[0]] = value
         self.emit(ev)
 
     def exec_output(self, s: Output, frame: Frame) -> None:
-        uses: list[RuntimeVar] = []
-        if isinstance(s.value, StrLit):
-            value: int | str = s.value.value
-        else:
-            value = _EVAL[type(s.value)](self, s.value, frame, s.id, uses)
+        value = _EVAL[type(s.value)](self, s.value, frame, s.id)
         self.outputs.append(value)
         self.emit(OutputProduced(s.id, value))
-        self.emit(frame.plans.get(s.id) or self.planned(s, frame, (), uses))
+        self.emit(frame.plans.get(s.id) or self.planned(s, frame, (), s.value))
 
     def exec_if(self, s: If, frame: Frame) -> None:
-        uses: list[RuntimeVar] = []
-        taken = _EVAL[type(s.cond)](self, s.cond, frame, s.id, uses) != 0
-        self.emit(frame.plans.get(s.id) or self.planned(s, frame, (), uses))
+        taken = _EVAL[type(s.cond)](self, s.cond, frame, s.id) != 0
+        self.emit(frame.plans.get(s.id) or self.planned(s, frame, (), s.cond))
         self.exec_block(s.then_body if taken else s.else_body, frame)
 
     def exec_while(self, s: While, frame: Frame) -> None:
         # entry charge covers the first condition evaluation
         while True:
-            uses: list[RuntimeVar] = []
-            alive = _EVAL[type(s.cond)](self, s.cond, frame, s.id, uses) != 0
-            self.emit(frame.plans.get(s.id) or self.planned(s, frame, (), uses))
+            alive = _EVAL[type(s.cond)](self, s.cond, frame, s.id) != 0
+            self.emit(frame.plans.get(s.id) or self.planned(s, frame, (), s.cond))
             if not alive:
                 break
             self.exec_block(s.body, frame)
             self.charge(s)
 
     def exec_return(self, s: Return, frame: Frame) -> None:
-        uses: list[RuntimeVar] = []
         value = (None if s.value is None
-                 else _EVAL[type(s.value)](self, s.value, frame, s.id, uses))
-        self.emit(frame.plans.get(s.id) or self.planned(s, frame, (), uses))
+                 else _EVAL[type(s.value)](self, s.value, frame, s.id))
+        self.emit(frame.plans.get(s.id) or self.planned(s, frame, (), s.value))
         raise _ReturnSignal(value)
 
     # -- calls ---------------------------------------------------------------
@@ -386,12 +388,9 @@ class _Interp:
     def exec_call(self, s: Call, frame: Frame) -> None:
         values = self.values
         free_from = self.next_oid
-        site = frame.plans.get(s.id)
-        if site is None:
-            site = self.site(s, frame)
-        else:
-            for formal, a in site.ints:
-                values[formal] = _EVAL[type(a)](self, a, frame, s.id, [])
+        site = frame.plans.get(s.id) or self.site(s, frame)
+        for formal, a in site.ints:
+            values[formal] = _EVAL[type(a)](self, a, frame, s.id)
         self.next_oid = site.plan.mark
         # an object formal starts as a member-wise copy of its actual
         for f_var, src in site.copies:
@@ -425,20 +424,17 @@ class _Interp:
 _EXEC = {Assign: _Interp.exec_assign, Input: _Interp.exec_input,
          Output: _Interp.exec_output, If: _Interp.exec_if, While: _Interp.exec_while,
          Return: _Interp.exec_return, Call: _Interp.exec_call}
-_EVAL = {Name: _Interp.eval_name, IntLit: _Interp.eval_int, BinOp: _Interp.eval_binop}
+_EVAL = {Name: _Interp.eval_name, IntLit: _Interp.eval_literal, StrLit: _Interp.eval_literal,
+         BinOp: _Interp.eval_binop}
 
 
 def _ordered(vs: list[RuntimeVar]) -> tuple[RuntimeVar, ...]:
-    """The distinct vars of `vs`, sorted. Vars are interned, so equal vars are
-    the same object and identity de-duplicates them. It runs once per binding,
+    """The distinct vars of `vs`, sorted. Vars are interned, so de-duplicating
+    by equality keeps the run's one object of each. It runs once per binding,
     as a statement's plan is built; the sort stays only because, while two
     live vars can share a display, the order decides which snapshot a slice
     keeps."""
-    if len(vs) > 1:
-        vs = {id(v): v for v in vs}.values()
-        if len(vs) > 1:
-            return tuple(sorted(vs))
-    return tuple(vs)
+    return tuple(sorted(set(vs)))
 
 
 def _decls(body: list[Stmt]):

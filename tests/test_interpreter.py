@@ -337,6 +337,31 @@ def test_equal_events_are_one_object():
     assert repeats > 0
 
 
+def test_statement_reads_and_writes_are_the_static_sets():
+    """The language has no short-circuit operators and no pointers, so a
+    statement reads exactly the names its expression spells and writes its
+    target: each StmtExecuted's uses and defs, named by (kind, name), equal the
+    CDG's static use and def sets (Weiser's REF and DEF) of its node."""
+    cases = [(SAMPLE_SOURCE, SAMPLE_INPUTS), (CALLS_SOURCE, (5,)), (BYREF_SOURCE, (7,)),
+             (LOOP_SOURCE, (3,))]
+    cases += [(g.source, g.inputs) for g in map(generate, range(200))]
+    static = {"local": lambda r: ("local", r.base), "obj_member": lambda r: ("member", r.member),
+              "recv_member": lambda r: ("member", r.base)}
+    checked = 0
+    for source, inputs in cases:
+        program = load(source)
+        cdg = build_cdg(program)
+        for ev in {ev for ev in run(program, inputs).events if isinstance(ev, StmtExecuted)}:
+            node = cdg.nodes[ev.id]
+            if node.kind == "Call":
+                continue
+            for runtime, refs in ((ev.uses, node.use_set), (ev.defs, node.def_set)):
+                assert {(v.kind, v.name) for v in runtime} \
+                    == {static[r.hint](r) for r in refs}, f"node {ev.id} of {source}"
+            checked += 1
+    assert checked > 3000
+
+
 # each iteration repeats three warnings: an uninitialized read in a statement
 # (#6), an uninitialized int actual (#7) and, as in NO_RESULT_SOURCE, a
 # call-assignment whose callee returns no value (#8)
