@@ -3,7 +3,8 @@
 Every executable statement gets a stable id: either the explicit `#n:` labels
 in the source, or textual order when no labels are present. The CDG for this
 structured language is a forest, one tree per procedure, where each statement
-hangs off its nearest enclosing test (or the procedure entry).
+hangs off its nearest enclosing test (`Cdg.test`) or, where it has none, its
+procedure's entry (`Cdg.proc`).
 """
 
 from __future__ import annotations
@@ -33,10 +34,11 @@ print(pretty(program))
 graph = build_cdg(program)
 print("control parents (statement -> governing test or entry):")
 for sid in sorted(graph.nodes):
-    node = graph.nodes[sid]
+    node, test = graph.nodes[sid], graph.test[sid]
+    parent = test if test is not None else graph.proc[sid]  # `proc`: the entry key
     defs = ", ".join(sorted(v.display() for v in node.def_set)) or "-"
     uses = ", ".join(sorted(v.display() for v in node.use_set)) or "-"
-    print(f"  {sid:2} {node.kind:8} parent={graph.parent[sid]!r:8} "
+    print(f"  {sid:2} {node.kind:8} parent={parent!r:8} "
           f"defs={defs}  uses={uses}")
 
 print()

@@ -1,8 +1,10 @@
 """Control dependence graph and static def/use sets.
 
 For this structured language the CDG restricted to one procedure is a tree:
-every statement's control parent is the nearest enclosing test node, or the
-procedure's synthetic Entry node. Entry nodes never appear in slices.
+every statement's control parent is the nearest enclosing test node (`test`),
+or, where `test` is None, the synthetic Entry node of its procedure (`proc`,
+the entry key). The exports derive the Entry parent from the two. Entry nodes
+never appear in slices.
 
 The same walk records what the program text fixes, so a trace need not: the
 node each loop exits to (`exits`: the statement after it, else `after` in
@@ -61,7 +63,8 @@ class NodeInfo:
 class Cdg:
     nodes: dict[int, NodeInfo] = field(default_factory=dict)
     entry_order: list[str] = field(default_factory=list)  # Entry node keys
-    parent: dict[int, int | str] = field(default_factory=dict)
+    test: dict[int, int | None] = field(default_factory=dict)  # node -> governing test
+    proc: dict[int, str] = field(default_factory=dict)  # node -> its procedure's entry key
     members: dict[str, tuple[str, ...]] = field(default_factory=dict)  # class -> members
     main_objects: dict[str, str] = field(default_factory=dict)  # object -> class
     exits: dict[int, tuple[int, ...]] = field(default_factory=dict)  # node -> loops it ends
@@ -69,11 +72,6 @@ class Cdg:
 
     def kind(self, sid: int) -> str:
         return self.nodes[sid].kind
-
-    def parent_test(self, sid: int) -> int | None:
-        """Control parent when it is a test node, else None (Entry parent)."""
-        p = self.parent[sid]
-        return p if isinstance(p, int) else None
 
 
 def entry_key(cls: str, method) -> str:
@@ -141,30 +139,35 @@ def build_cdg(program: Program) -> Cdg:
                       if isinstance(s, VarDecl) and s.decl_type != "int"
                       for n in s.names}
 
-    for cls_name, method, body in program.procedures():
-        key = entry_key(cls_name, method)
+    keys = {id(method): entry_key(cls_name, method)  # id(None) is main's
+            for cls_name, method, _ in program.procedures()}
+    for _, method, body in program.procedures():
+        key = keys[id(method)]
         g.entry_order.append(key)
-        _attach(g, body, key, None)
+        _attach(g, keys, body, None, key, None)
     return g
 
 
-def _attach(g: Cdg, body: list[Stmt], parent: int | str, after: Stmt | None) -> None:
-    """Add `body`'s statements under `parent`; `after` runs once `body` is done
-    (what follows an `if`, a loop's own test, None at a procedure's end)."""
+def _attach(g: Cdg, keys: dict[int, str], body: list[Stmt], test: int | None,
+            proc: str, after: Stmt | None) -> None:
+    """Add `body`'s statements of `proc` under `test`; `after` runs once `body`
+    is done (what follows an `if`, a loop's own test, None at a procedure's
+    end). `keys` maps each method's id to its entry key."""
     stmts = [s for s in body if not isinstance(s, VarDecl)]
     for s, nxt in zip(stmts, stmts[1:] + [after]):
         defs, uses = def_use(s, g.members)
         g.nodes[s.id] = NodeInfo(_KIND[type(s)], defs, uses)
-        g.parent[s.id] = parent
+        g.test[s.id] = test
+        g.proc[s.id] = proc
         if isinstance(s, If):
-            _attach(g, s.then_body, s.id, nxt)
-            _attach(g, s.else_body, s.id, nxt)
+            _attach(g, keys, s.then_body, s.id, proc, nxt)
+            _attach(g, keys, s.else_body, s.id, proc, nxt)
         elif isinstance(s, While):
-            _attach(g, s.body, s.id, s)
+            _attach(g, keys, s.body, s.id, proc, s)
             if nxt is not None:
                 g.exits[nxt.id] = g.exits.get(nxt.id, ()) + (s.id,)
         elif isinstance(s, Call):
-            g.callee[s.id] = entry_key(s.receiver_cls, s.resolved)
+            g.callee[s.id] = keys[id(s.resolved)]
 
 
 def _entry_label(key: str) -> str:
@@ -179,9 +182,9 @@ def export_dot(g: Cdg) -> str:
     for sid in sorted(g.nodes):
         node = g.nodes[sid]
         lines.append(f'    {sid} [label="{sid}: {node.kind}"];')
-    for sid in sorted(g.parent):
-        p = g.parent[sid]
-        target = str(p) if isinstance(p, int) else f'"{_entry_label(p)}"'
+    for sid in sorted(g.nodes):
+        test = g.test[sid]
+        target = test if test is not None else f'"{_entry_label(g.proc[sid])}"'
         lines.append(f"    {sid} -> {target};")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -191,12 +194,11 @@ def export_json(g: Cdg) -> str:
     """JSON export: array of {id, kind, parent, defs, uses}, statements first."""
     rows = []
     for sid in sorted(g.nodes):
-        node = g.nodes[sid]
-        p = g.parent[sid]
+        node, test = g.nodes[sid], g.test[sid]
         rows.append({
             "id": sid,
             "kind": node.kind,
-            "parent": p if isinstance(p, int) else _entry_label(p),
+            "parent": test if test is not None else _entry_label(g.proc[sid]),
             "defs": sorted(v.display() for v in node.def_set),
             "uses": sorted(v.display() for v in node.use_set),
         })

@@ -60,7 +60,7 @@ def _input(n: int, text: str) -> int:
 def _parse_criterion(text: str) -> tuple[int, str]:
     node, sep, var = text.partition(":")
     if not sep or not var or not node.isdigit():
-        raise SystemExit(f"error: criterion must look like N:VAR, got {text!r}")
+        raise ValueError(f"criterion must look like N:VAR, got {text!r}")
     return int(node), var
 
 
@@ -73,7 +73,7 @@ def _program(args: argparse.Namespace) -> tuple[str, tuple[int, ...]]:
     if args.seed is not None:
         generated = generator.generate(args.seed)
         return generated.source, inputs or generated.inputs
-    raise SystemExit("error: a source file (or --seed for check) is required")
+    raise ValueError("a source file (or --seed for check) is required")
 
 
 def _listing(program: Program, slice_ids: frozenset[int]) -> str:
@@ -265,11 +265,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return args.cmd(args)
-    except SystemExit as exc:
-        if isinstance(exc.code, str):
-            print(exc.code, file=sys.stderr)
-            return 2
-        raise
     except SourceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

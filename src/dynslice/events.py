@@ -301,11 +301,6 @@ def validate_trace(events: list[ExecEvent], graph: Cdg) -> None:
     (the CDG's callee of the innermost open call, or main), a node before its
     governing test in the same activation, a CallEntered off a call statement,
     a Returned without its CallEntered, or a payload of the wrong type."""
-    entry: dict[int, str] = {}  # node -> the procedure it belongs to
-    for sid, p in graph.parent.items():
-        while isinstance(p, int):
-            p = graph.parent[p]
-        entry[sid] = p
     executed: set[int] = set()  # the nodes run in the running activation
     open_calls: list[tuple[int, str, set[int]]] = []  # (call site, callee, caller's executed)
     for i, ev in enumerate(events, start=1):
@@ -327,10 +322,10 @@ def validate_trace(events: list[ExecEvent], graph: Cdg) -> None:
         # a call that assigns a missing result warns at its own site after the
         # callee's last event and before Returned, in the caller's activation
         returning = isinstance(ev, Warning) and open_calls and open_calls[-1][0] == node
-        if entry[node] != running and not returning:
+        if graph.proc[node] != running and not returning:
             raise ValueError(f"trace event {i}: {type(ev).__name__} at node {node} "
-                             f"of {entry[node]} while {running} runs")
-        test = graph.parent_test(node)
+                             f"of {graph.proc[node]} while {running} runs")
+        test = graph.test[node]
         if test is not None and test not in (open_calls[-1][2] if returning else executed):
             raise ValueError(f"trace event {i}: node {node} before its test {test}")
         if isinstance(ev, CallEntered):

@@ -17,6 +17,9 @@ Graph shape:
   transfer rule). By-ref copy-back and call-assignment re-point the caller
   variable's explanation instead of adding nodes.
 
+The builder keeps the running activation's latest test occurrences, frame
+context and Return occurrence as fields, and the caller's three per open call.
+
 Criteria are anchored when their node executes, so later growth of the graph
 cannot change an answer: this is what makes closure equal the streaming
 snapshot.
@@ -55,9 +58,10 @@ class _Builder:
         self.ddg = Ddg()
         self.last_def: dict[RuntimeVar, int] = {}
         self.last_occ: dict[int, int] = {}  # test -> its latest occurrence in this frame
-        self.saved_occ: list[dict[int, int]] = []  # the callers' last_occ
-        self.frame_ctx: list[int | None] = [None]
-        self.pending_ret: list[int | None] = [None]
+        self.frame_ctx: int | None = None  # this frame's context node; None in main
+        self.pending_ret: int | None = None  # this frame's Return occurrence
+        # one (last_occ, frame_ctx, pending_ret) of the caller per open call
+        self.callers: list[tuple[dict[int, int], int | None, int | None]] = []
 
     def add(self, payload: int | None, preds: list[int]) -> int:
         self.ddg.payloads.append(payload)
@@ -65,7 +69,7 @@ class _Builder:
         return len(self.ddg.payloads) - 1
 
     def ctrl_test_occ(self, sid: int) -> int | None:
-        p = self.cdg.parent_test(sid)
+        p = self.cdg.test[sid]
         return self.last_occ[p] if p is not None else None
 
     def anchor(self, sid: int, var: RuntimeVar, ctrl_occ: int | None) -> None:
@@ -80,13 +84,14 @@ class _Builder:
         u = ev.id
         ctrl_occ = self.ctrl_test_occ(u)
         preds = [self.last_def[v] for v in ev.uses if v in self.last_def]
-        ctrl_edge = ctrl_occ if ctrl_occ is not None else self.frame_ctx[-1]
+        ctrl_edge = ctrl_occ if ctrl_occ is not None else self.frame_ctx
         if ctrl_edge is not None:
             preds.append(ctrl_edge)
         idx = self.add(u, preds)
         self.ddg.occurrences += 1
 
-        is_call = self.cdg.kind(u) == "Call"
+        kind = self.cdg.kind(u)
+        is_call = kind == "Call"
         use_route = ev.uses + (ev.defs if is_call else ())
         for v in use_route:
             self.anchor(u, v, ctrl_occ)
@@ -95,22 +100,20 @@ class _Builder:
                 self.last_def[d] = idx
                 self.ddg.criteria[(u, d.display)] = (idx,)
         self.last_occ[u] = idx
-        if self.cdg.kind(u) == "Return":
-            self.pending_ret[-1] = idx
+        if kind == "Return":
+            self.pending_ret = idx
 
     def on_call(self, ev: CallEntered) -> None:
         u = ev.call_site
         preds = []
-        if self.frame_ctx[-1] is not None:
-            preds.append(self.frame_ctx[-1])
+        if self.frame_ctx is not None:
+            preds.append(self.frame_ctx)
         ctrl_occ = self.ctrl_test_occ(u)
         if ctrl_occ is not None:
             preds.append(ctrl_occ)
         fc = self.add(u, preds)
-        self.frame_ctx.append(fc)
-        self.saved_occ.append(self.last_occ)
-        self.last_occ = {}
-        self.pending_ret.append(None)
+        self.callers.append((self.last_occ, self.frame_ctx, self.pending_ret))
+        self.last_occ, self.frame_ctx, self.pending_ret = {}, fc, None
         for f_var, sources in ev.transfers:
             spreds = [self.last_def[s] for s in sources if s in self.last_def]
             spreds.append(fc)
@@ -118,9 +121,8 @@ class _Builder:
 
     def on_returned(self, ev: Returned) -> None:
         u = ev.call_site
-        ret_occ = self.pending_ret.pop()
-        self.frame_ctx.pop()
-        self.last_occ = self.saved_occ.pop()
+        ret_occ = self.pending_ret
+        self.last_occ, self.frame_ctx, self.pending_ret = self.callers.pop()
         for f_var, a_var in ev.copy_backs:
             if f_var in self.last_def:
                 self.last_def[a_var] = self.last_def[f_var]

@@ -2,12 +2,13 @@
 
 Consumes the execution event stream and keeps the live slice state:
 ActiveDataSlice per runtime variable, ActiveControlSlice per test node of the
-running activation (a caller's table is saved on CallEntered and restored on
-Returned, so a recursive call's tests cannot change its caller's control
-slices), ActiveCallSlice with its stack, ActiveReturnSlice (set by a Return
+running activation, its ActiveCallSlice, ActiveReturnSlice (set by a Return
 statement, cleared on Returned), and the DyanSlice table of each node's last
 execution, keyed by (node, display name) as `slice_of` and `criteria()` look it
-up. No event history is kept and callee locals die with their frame, so the
+up. `call_stack` holds one record per open call: the caller's ActiveCallSlice
+and its ActiveControlSlice table, pushed on CallEntered and restored on
+Returned, so a recursive call's tests cannot change its caller's control
+slices. No event history is kept and callee locals die with their frame, so the
 state is bounded by the program's variables and nodes however long the run is,
 calls in loops included; `peak_cardinality` measures it. Feed events one at a
 time (`feed` as `interpreter.run`'s sink) or replay a list (`consume`).
@@ -52,13 +53,12 @@ class SliceState:
     cdg: Cdg
     active_data: dict[RuntimeVar, int] = field(default_factory=dict)
     active_control: dict[int, int] = field(default_factory=dict)
-    call_stack: list[int] = field(default_factory=list)
     active_call: int = 0
     active_return: int = 0
     # (node, display name) -> DyanSlice of the node's last execution
     dyn_table: dict[tuple[int, str], int] = field(default_factory=dict)
-    # each open call's caller's active_control, saved at CallEntered
-    control_stack: list[dict[int, int]] = field(default_factory=list, init=False)
+    # one (active_call, active_control) of the caller per open call
+    call_stack: list[tuple[int, dict[int, int]]] = field(default_factory=list, init=False)
     events: int = 0
     updates: int = 0
     peak_cardinality: int = 0
@@ -98,17 +98,17 @@ class SliceState:
             for v in ev.defs + ev.uses:
                 snaps[u, v.display] = v
             snaps = tuple(snaps.items())
-            plain = SliceState._stmt, (1 << u, cdg.parent_test(u), ev.uses, defs, snaps, tail,
+            plain = SliceState._stmt, (1 << u, cdg.test[u], ev.uses, defs, snaps, tail,
                                        len(defs) + len(ev.defs) + len(ev.uses) + (tail == u))
         elif kind is CallEntered:
             # an Entry-governed node's test is None, which no active_control key is
             u = ev.call_site
-            plain = SliceState._call, (1 << u, cdg.parent_test(u), ev.transfers)
+            plain = SliceState._call, (1 << u, cdg.test[u], ev.transfers)
         else:  # Returned
             u, into = ev.call_site, ev.returned_into
             copies = ev.copy_backs + ((None, into),) * (into is not None)
             snaps = tuple({(u, v.display): v for v in ev.receiver_members}.items())
-            return SliceState._return, (cdg.parent_test(u), copies, snaps, ev.resets,
+            return SliceState._return, (cdg.test[u], copies, snaps, ev.resets,
                                         len(copies) + len(ev.receiver_members)), ev
         return (SliceState._exit, (cdg.exits[u], *plain), ev) if u in cdg.exits else (*plain, ev)
 
@@ -141,9 +141,8 @@ class SliceState:
     def _call(self, step: tuple) -> None:
         bit, test, transfers = step
         caller, data = self.active_control, self.active_data
-        self.call_stack.append(self.active_call)
+        self.call_stack.append((self.active_call, caller))
         call = self.active_call = bit | self.active_call | caller.get(test, 0)
-        self.control_stack.append(caller)
         self.active_control = {}
         card = self._card + call.bit_count()  # the caller's moved to the stack
         for f_var, sources in transfers:
@@ -158,11 +157,12 @@ class SliceState:
 
     def _return(self, step: tuple) -> None:
         test, copies, snaps, resets, updates = step
-        data, card = self.active_data, self._card
-        # the callee's tests govern only its own activation
+        data = self.active_data
+        # the callee's tests and call slice govern only its own activation
+        card = self._card - self.active_call.bit_count() - self.active_return.bit_count()
         for s in self.active_control.values():
             card -= s.bit_count()
-        self.active_control = self.control_stack.pop()
+        self.active_call, self.active_control = self.call_stack.pop()
         # by-ref copy-backs (formal to actual), then the return slice to its var
         for f_var, a_var in copies:
             new = self.active_return if f_var is None else data.get(f_var, 0)
@@ -179,8 +179,7 @@ class SliceState:
         # callee locals die with the frame
         for v in resets:
             card -= data.pop(v, 0).bit_count()
-        self._card = card - self.active_call.bit_count() - self.active_return.bit_count()
-        self.active_call, self.active_return = self.call_stack.pop(), 0
+        self._card, self.active_return = card, 0
         self.updates += updates
 
     def _exit(self, step: tuple) -> None:
@@ -224,12 +223,11 @@ class SliceState:
     def recount(self) -> int:
         """cardinality() recomputed from scratch (consistency check)."""
         total = self.active_call.bit_count() + self.active_return.bit_count()
-        for store in (self.active_data, self.active_control, self.dyn_table,
-                      *self.control_stack):
+        for call, control in self.call_stack:
+            total += call.bit_count() + sum(s.bit_count() for s in control.values())
+        for store in (self.active_data, self.active_control, self.dyn_table):
             for s in store.values():
                 total += s.bit_count()
-        for s in self.call_stack:
-            total += s.bit_count()
         return total
 
 

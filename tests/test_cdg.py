@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
-from dynslice import build_cdg, def_use, export_dot, export_json, load
+from dynslice import build_cdg, def_use, export_dot, export_json, generate, load
 from dynslice.cdg import entry_key
+from dynslice.fixtures import SAMPLE_SOURCE
 
 
 def test_entry_keys(sample_cdg):
@@ -29,10 +31,10 @@ def test_kinds(sample_cdg):
 def test_straight_line_parents(sample_cdg):
     # no tests anywhere, so every statement hangs off its procedure entry
     for sid in range(1, 17):
-        assert sample_cdg.parent[sid] == "main"
-        assert sample_cdg.parent_test(sid) is None
-    assert sample_cdg.parent[17] == "test.get(int,int)"
-    assert sample_cdg.parent[21] == "test.add(test,test)"
+        assert sample_cdg.proc[sid] == "main"
+        assert sample_cdg.test[sid] is None
+    assert (sample_cdg.test[17], sample_cdg.proc[17]) == (None, "test.get(int,int)")
+    assert (sample_cdg.test[21], sample_cdg.proc[21]) == (None, "test.add(test,test)")
 
 
 def test_nesting_parents():
@@ -53,13 +55,12 @@ void main() {
 """))
     assert graph.kind(2) == "Test"
     assert graph.kind(4) == "TestLoop"
-    assert graph.parent[3] == 2
-    assert graph.parent[4] == 2
-    assert graph.parent[5] == 4
-    assert graph.parent[6] == 2  # else branch has the same governing test
-    assert graph.parent[7] == "main"
-    assert graph.parent_test(5) == 4
-    assert graph.parent_test(7) is None
+    assert graph.test[3] == 2
+    assert graph.test[4] == 2
+    assert graph.test[5] == 4
+    assert graph.test[6] == 2  # else branch has the same governing test
+    assert graph.proc[7] == "main"
+    assert graph.test[7] is None
 
 
 # every place a loop can end: a loop body (8, nested in 5, exits to the outer
@@ -227,3 +228,17 @@ def test_export_dot_loop(loop_cdg):
     by_id = {r["id"]: r for r in rows if r["kind"] != "Entry"}
     assert by_id[4]["parent"] == 3
     assert by_id[3]["kind"] == "TestLoop"
+
+
+# sha256 of export_dot then export_json of SAMPLE_SOURCE and of generator seeds
+# 0..199, in that order: the exports' bytes, Entry parents included
+EXPORTS_SHA256 = "6c0542521e322476cf4b9bde318c4f6f423a83f3de80ef83b24eadda34b49f10"
+
+
+def test_exports_are_pinned():
+    digest = hashlib.sha256()
+    for source in [SAMPLE_SOURCE] + [generate(seed).source for seed in range(200)]:
+        graph = build_cdg(load(source))
+        digest.update(export_dot(graph).encode())
+        digest.update(export_json(graph).encode())
+    assert digest.hexdigest() == EXPORTS_SHA256

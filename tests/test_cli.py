@@ -121,6 +121,12 @@ def test_bad_criterion_syntax(sample_path, capsys):
     assert "N:VAR" in capsys.readouterr().err
 
 
+def test_check_without_a_program_exits_2(capsys):
+    assert main(["check"]) == 2
+    assert capsys.readouterr().err == \
+        "error: a source file (or --seed for check) is required\n"
+
+
 def test_parse_error_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.mini"
     bad.write_text("void main() { int x; x = 1 }")

@@ -111,4 +111,4 @@ def test_control_slice_belongs_to_its_activation(source, inputs, criterion, expe
     for c in state.criteria():
         assert state.slice_of(*c) == backward_slice(ddg, *c), c
     assert state.recount() == state.cardinality()
-    assert not state.control_stack
+    assert not state.call_stack

@@ -89,7 +89,7 @@ def test_loop_control_slice_reset(loop_program, loop_cdg):
 
 def test_exit_successor_drops_the_loops_control_slices():
     """Each loop's ActiveControlSlice is gone once the node it exits to has
-    run; at call 16, before the caller's table moves to `control_stack`."""
+    run; at call 16, before the caller's table moves to `call_stack`."""
     graph = build_cdg(load(EXITS_SOURCE))
     result = run(load(EXITS_SOURCE), (2,))
     assert result.ok
@@ -102,7 +102,7 @@ def test_exit_successor_drops_the_loops_control_slices():
         if node in graph.exits:
             ran.add(node)
             assert not set(graph.exits[node]) & set(state.active_control), node
-            for saved in state.control_stack:
+            for _, saved in state.call_stack:
                 assert not set(graph.exits[node]) & set(saved), node
     assert ran == set(graph.exits)
     # every loop test's slice is gone; no event drops an `if` test's

@@ -1,21 +1,25 @@
-"""Print as JSON the in-process events/s of each slicing stage on the
-benchmark's programs: `loop` (perfbench/programs/loop.mini, n = 20000),
-`calls` (calls.mini, n = 10000) and `corpus` (the 200 frozen programs of
-perfbench/corpus.json, only read).
+"""Print as JSON the in-process cost of each slicing stage on the benchmark's
+programs: `loop` (perfbench/programs/loop.mini, n = 20000), `calls`
+(calls.mini, n = 10000) and `corpus` (the 200 frozen programs of
+perfbench/corpus.json, generator seeds 0..199, only read).
 
     python tools/stages.py SRC_DIR
 
 SRC_DIR is the `src` directory whose `dynslice` is imported, as for
-`tools/seeds.py`. Each stage is the best of REPEATS passes over a workload:
-`run` with a sink that drops each event, `run` with `SliceState.feed` as its
-sink, `consume` of the buffered events, and the oracle (`build_ddg` and
-`backward_slice` of each of its criteria). A workload also gives its events,
-its payload-free events and the distinct objects among them, one slicer step
-each.
+`tools/seeds.py`. Each stage is the best of REPEATS passes over a workload.
+`load` (lex, parse and check) and `build_cdg` give seconds per pass. `run`
+with a sink that drops each event, `run` with `SliceState.feed` as its sink,
+`consume` of the buffered events, and the oracle (`build_ddg` and
+`backward_slice` of each of its criteria) give events/s. The corpus also gives
+`cli_s`: `cli.main(["check", "--seed", S])` for S in 0..199, stdout captured.
+A workload also gives its events, its payload-free events and the distinct
+objects among them, one slicer step each.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import platform
@@ -37,6 +41,25 @@ def workloads() -> dict[str, list[tuple[str, tuple[int, ...]]]]:
             "calls": [(read("calls.mini"), (10000,))], "corpus": corpus}
 
 
+def best(work) -> float:
+    """Seconds of the fastest of REPEATS calls of `work`."""
+    times = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        work()
+        times.append(time.perf_counter() - start)
+    return round(min(times), 6)
+
+
+def cli_check() -> None:
+    from dynslice import cli
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        for seed in range(200):
+            if cli.main(["check", "--seed", str(seed)]) != 0:
+                raise SystemExit(f"check --seed {seed} failed")
+
+
 def measure(programs) -> dict:
     from dynslice import backward_slice, build_cdg, build_ddg, init, load, run
     from dynslice.events import CallEntered, Returned, StmtExecuted
@@ -46,7 +69,9 @@ def measure(programs) -> dict:
     free = [[ev for ev in evs if isinstance(ev, (StmtExecuted, CallEntered, Returned))]
             for evs in runs]
     record = {"events": sum(map(len, runs)), "payload_free": sum(map(len, free)),
-              "distinct": sum(len(set(map(id, evs))) for evs in free)}
+              "distinct": sum(len(set(map(id, evs))) for evs in free),
+              "load_s": best(lambda: [load(s) for s, _ in programs]),
+              "build_cdg_s": best(lambda: [build_cdg(p) for p, _, _ in loaded])}
     stages = {
         "run": lambda p, g, i, evs: run(p, i, sink=lambda ev: None),
         "run+feed": lambda p, g, i, evs: run(p, i, sink=init(g).feed),
@@ -55,13 +80,9 @@ def measure(programs) -> dict:
                                         for c in d.criteria],
     }
     for name, stage in stages.items():
-        best = float("inf")
-        for _ in range(REPEATS):
-            start = time.perf_counter()
-            for (p, g, inputs), evs in zip(loaded, runs):
-                stage(p, g, inputs, evs)
-            best = min(best, time.perf_counter() - start)
-        record[f"{name}_events_per_s"] = round(record["events"] / best)
+        seconds = best(lambda: [stage(p, g, inputs, evs)
+                                for (p, g, inputs), evs in zip(loaded, runs)])
+        record[f"{name}_events_per_s"] = round(record["events"] / seconds)
     return record
 
 
@@ -71,6 +92,7 @@ if __name__ == "__main__":
     sys.path.insert(0, sys.argv[1])
     commit = subprocess.run(["git", "-C", sys.argv[1], "describe", "--always", "--dirty",
                              "--abbrev=40"], capture_output=True, text=True).stdout.strip()
-    print(json.dumps({"python": platform.python_version(), "commit": commit,
-                      **{name: measure(programs) for name, programs in workloads().items()}},
+    record = {name: measure(programs) for name, programs in workloads().items()}
+    record["corpus"]["cli_s"] = best(cli_check)
+    print(json.dumps({"python": platform.python_version(), "commit": commit, **record},
                      indent=1))
